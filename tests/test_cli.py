@@ -116,3 +116,15 @@ def test_byte_identical_reports(tmp_path):
         assert run(args + ["--out", str(a)]) == 0
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_scan_with_search_deterministic_across_jobs(tmp_path):
+    a = tmp_path / "a.csv"
+    b = tmp_path / "b.csv"
+    assert run(["scan", "14", "44", "--with-search", "--out", str(a)]) == 0
+    assert run(["scan", "14", "44", "--with-search", "--jobs", "2",
+                "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    rows = list(csv.DictReader(a.read_text().splitlines()))
+    assert {row["search_agrees"] for row in rows} <= {"True", ""}
+    assert any(row["search_agrees"] == "True" for row in rows)

@@ -1,0 +1,53 @@
+"""Golden outputs: every CLI report below must match its committed file
+byte for byte, and the parallel runs must match the serial files.
+
+Regenerate the files (only when an output change is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from pathlib import Path
+
+import pytest
+
+from genkummer.cli import run
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = {
+    "pell_120.json": ["pell", "120"],
+    "ns_24.json": ["ns", "24"],
+    "decide_20.json": ["decide", "20"],
+    "decide_44.json": ["decide", "44"],
+    "decide_126.json": ["decide", "126"],
+    "scan_8_198.csv": ["scan", "8", "198"],
+    "scan_8_198.json": ["scan", "8", "198", "--format", "json"],
+    "search_8.json": ["search", "8"],
+    "search_20.json": ["search", "20"],
+    "search_42.json": ["search", "42"],
+    "aut20.json": ["aut20"],
+    "fm_1_1_1_1.json": ["fm", "1", "1", "1", "1"],
+}
+
+# parallel runs checked against the serial golden file
+PARALLEL = {
+    "scan_8_198.csv": ["scan", "8", "198", "--jobs", "2"],
+    "search_20.json": ["search", "20", "--jobs", "2"],
+}
+
+PARAMS = [pytest.param(name, argv, id=name) for name, argv in CASES.items()] + [
+    pytest.param(name, argv, id=f"{name}-jobs2") for name, argv in PARALLEL.items()]
+
+
+@pytest.mark.parametrize("name, argv", PARAMS)
+def test_golden_output(name, argv, tmp_path):
+    out = tmp_path / name
+    assert run(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for name, argv in CASES.items():
+        if run(argv + ["--out", str(GOLDEN / name)]) != 0:
+            raise SystemExit(f"{' '.join(argv)} failed")
