@@ -22,12 +22,7 @@ from .isometry_search import (
     search,
     standard_config,
 )
-from .kummer_structures import (
-    NoPellSolution,
-    admissible_values,
-    decide,
-    scan,
-)
+from .kummer_structures import NoPellSolution, decide, scan
 from .ns_lattice import InvalidPolarization, build_ns
 
 EXIT_OK = 0
@@ -98,12 +93,8 @@ def cmd_decide(args):
     return EXIT_OK
 
 
-def _scan_row(report, with_search):
-    agrees = ""
-    if with_search and report.pell is not None and report.L2 % 18 != 0:
-        ns = build_ns(report.L2)
-        result = search(ns, standard_config(ns), replacement_config(ns))
-        agrees = str((len(result.accepted) == 0) == report.two_structures)
+def _scan_row(report):
+    agrees = report.search_agrees
     return {
         "L2": str(report.L2),
         "case": report.case,
@@ -112,35 +103,16 @@ def _scan_row(report, with_search):
         "modulus": str(report.modulus),
         "residue": str(report.residue) if report.residue is not None else "",
         "two_structures": str(report.two_structures),
-        "search_agrees": agrees,
+        "search_agrees": "" if agrees is None else str(agrees),
     }
-
-
-def _scan_row_job(args):
-    L2, with_search = args
-    report = decide(build_ns(L2))
-    return _scan_row(report, with_search)
 
 
 def cmd_scan(args):
     if args.L2_min > args.L2_max:
         sys.stderr.write("error: empty scan range\n")
         return EXIT_USAGE
-    if args.jobs > 1:
-        from multiprocessing import Pool
-
-        solvable = [v for v in admissible_values(args.L2_min, args.L2_max)
-                    if not pell.is_square(6 * v)]
-        with Pool(args.jobs) as pool:
-            solved = pool.map(
-                _scan_row_job, [(v, args.with_search) for v in solvable])
-        by_l2 = {row["L2"]: row for row in solved}
-        rows = []
-        for report in scan(args.L2_min, args.L2_max):
-            rows.append(by_l2.get(str(report.L2)) or _scan_row(report, False))
-    else:
-        rows = [_scan_row(r, args.with_search)
-                for r in scan(args.L2_min, args.L2_max)]
+    rows = [_scan_row(r) for r in scan(args.L2_min, args.L2_max, jobs=args.jobs,
+                                       with_search=args.with_search)]
     if args.format == "json":
         _emit(_json_text({"tool": _tool_block(), "rows": rows}), args.out)
         return EXIT_OK

@@ -54,11 +54,6 @@ def vec_mat(v, mat):
     return out
 
 
-def mat_vec(mat, v):
-    """Matrix times column vector."""
-    return [sum(x * y for x, y in zip(row, v)) for row in mat]
-
-
 def xgcd(a, b):
     """Return (g, x, y) with g = gcd(a, b) = x*a + y*b and g >= 0."""
     x, nx = 1, 0
@@ -190,6 +185,64 @@ def kernel_basis(mat):
 
 
 # ---------------------------------------------------------------------------
+# linear algebra over GF(3)
+
+
+def gf3_reduce(ech, vec):
+    """Residue of an integer vector modulo 3 and modulo the span of an
+    echelon basis from gf3_echelon; all zero iff vec lies in that span."""
+    vec = [x % 3 for x in vec]
+    for piv, erow in ech:
+        c = vec[piv]
+        if c:
+            vec = [(a - c * b) % 3 for a, b in zip(vec, erow)]
+    return vec
+
+
+def gf3_echelon(rows):
+    """Reduced row echelon basis over GF(3) of the span of integer rows.
+
+    Returns (pivot, row) pairs sorted by pivot column; each row has entries
+    in 0..2, is 1 at its own pivot and 0 at every other pivot.
+    """
+    ech = []
+    for row in rows:
+        vec = gf3_reduce(ech, row)
+        piv = next((i for i, x in enumerate(vec) if x), None)
+        if piv is None:
+            continue
+        if vec[piv] == 2:
+            vec = [(2 * x) % 3 for x in vec]
+        for _, erow in ech:
+            c = erow[piv]
+            if c:
+                erow[:] = [(a - c * b) % 3 for a, b in zip(erow, vec)]
+        ech.append((piv, vec))
+    ech.sort()
+    return ech
+
+
+def gf3_kernel(mat):
+    """Basis of the left kernel {x : x * mat = 0 mod 3}, as tuples.
+
+    One vector per free column of the reduced transpose: 1 there, 0 at the
+    other free columns.
+    """
+    ech = gf3_echelon(transpose(mat))
+    pivots = {piv for piv, _ in ech}
+    basis = []
+    for free in range(len(mat)):
+        if free in pivots:
+            continue
+        v = [0] * len(mat)
+        v[free] = 1
+        for piv, erow in ech:
+            v[piv] = -erow[free] % 3
+        basis.append(tuple(v))
+    return basis
+
+
+# ---------------------------------------------------------------------------
 # determinant and Smith normal form
 
 
@@ -291,54 +344,16 @@ def snf(mat):
 # short-vector enumeration (exact Fincke-Pohst)
 
 
-def _greedy_reduce_gram(a):
-    """Iterated exact size-reduction of a positive definite Gram matrix.
-
-    Returns (reduced, U) with reduced = U * a * U^T, U unimodular.  Each
-    accepted step strictly decreases a diagonal entry, so the loop
-    terminates; the output basis is short enough to keep the enumeration
-    tree small even when the input rows came from an HNF kernel.
-    """
-    n = len(a)
-    g = [row[:] for row in a]
-    u = identity_matrix(n)
-    if any(g[i][i] <= 0 for i in range(n)):
-        return [row[:] for row in a], identity_matrix(n)
-    changed = True
-    while changed:
-        changed = False
-        idx = sorted(range(n), key=lambda i: g[i][i])
-        for i in idx:
-            for j in idx:
-                if i == j:
-                    continue
-                d = g[j][j]
-                q = (2 * g[i][j] + d) // (2 * d)
-                if not q:
-                    continue
-                new_norm = g[i][i] - 2 * q * g[i][j] + q * q * d
-                if new_norm >= g[i][i]:
-                    continue
-                if new_norm <= 0:
-                    # not positive definite after all; let the Cholesky
-                    # step report it on the untouched matrix
-                    return [row[:] for row in a], identity_matrix(n)
-                u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-                for k in range(n):
-                    g[i][k] -= q * g[j][k]
-                for k in range(n):
-                    g[k][i] -= q * g[k][j]
-                changed = True
-    return g, u
-
-
 def _lll_reduce_gram(a):
     """Exact LLL reduction (delta = 3/4) of a positive definite Gram matrix.
 
-    Returns (reduced, U) with reduced = U * a * U^T, U unimodular.  All
-    Gram-Schmidt data is kept as exact fractions; the enumeration does not
-    depend on the reduction quality for correctness, so the loop simply
-    stops early if the step budget runs out.
+    Returns (reduced, U) with reduced = U * a * U^T, U unimodular; raises
+    IndefiniteForm when a form of size two or more is not positive definite
+    (the enumeration's LDL step rejects a 1 x 1 one).  Bad bases straight
+    out of an HNF kernel would otherwise blow the enumeration tree up by
+    many orders of magnitude.  All Gram-Schmidt data is kept as exact
+    fractions; the enumeration does not depend on the reduction quality for
+    correctness, so the loop simply stops early if the step budget runs out.
     """
     n = len(a)
     g = [row[:] for row in a]
@@ -494,16 +509,6 @@ def _pos_def_form(gram, target):
     return [[-x for x in row] for row in gram]
 
 
-def _reduce_for_enumeration(pos):
-    """Greedy pass then LLL; bad bases straight out of an HNF kernel would
-    otherwise blow the enumeration tree up by many orders of magnitude."""
-    red, u1 = _greedy_reduce_gram(pos)
-    if any(red[i][i] <= 0 for i in range(len(red))):
-        return pos, identity_matrix(len(pos))
-    red, u2 = _lll_reduce_gram(red)
-    return red, mat_mul(u2, u1)
-
-
 def enumerate_norm_vectors(gram, target):
     """All integer vectors v with v^T gram v = target, for gram negative
     definite and target < 0.
@@ -512,14 +517,14 @@ def enumerate_norm_vectors(gram, target):
     lexicographically by the representative with positive leading entry.
     """
     pos = _pos_def_form(gram, target)
-    red, u = _reduce_for_enumeration(pos)
+    red, u = _lll_reduce_gram(pos)
     sols = [vec_mat(v, u) for v in _enumerate_pos_def(red, -target)]
     return _canonical_pairs(tuple(s) for s in sols)
 
 
 def has_norm_vector(gram, target):
     """True when some nonzero v satisfies v^T gram v = target (exact)."""
-    red, _ = _reduce_for_enumeration(_pos_def_form(gram, target))
+    red, _ = _lll_reduce_gram(_pos_def_form(gram, target))
     return next(iter(_enumerate_pos_def(red, -target)), None) is not None
 
 

@@ -8,18 +8,20 @@ block (send A_k to either member of target block sigma(k)); together with
 map on the whole rank-19 lattice.  Of the 9! * 2^9 = 185,794,560 candidates,
 almost all die on the 3-divisibility block supports (the prune), and the
 surviving permutations admit at most two swap masks compatible with the
-fully-supported 3-divisible class, so only a handful of matrices are ever
-materialized.  Survivors are then checked for integrality on the lattice
-basis and for acting as +-identity on the discriminant group; preservation
-of ample classes holds automatically for maps of this shape and is not
-re-tested per candidate.
+fully-supported 3-divisible class.  A 19 x 19 matrix is materialized for
+every (permutation, mask) pair that also maps the 3-divisible words onto
+the target's: 864 of them for L^2 = 8 (432 permutations times two masks),
+of which 18 are accepted and 846 fail the discriminant test.  Each is
+checked for integrality on the lattice basis and for acting as +-identity
+on the discriminant group; preservation of ample classes holds
+automatically for maps of this shape and is not re-tested per candidate.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd
 
-from .exact_linalg import charpoly, identity_matrix, mat_mul, vec_mat
+from .exact_linalg import charpoly, gf3_kernel, identity_matrix, mat_mul, vec_mat
 from .kummer_structures import construct
 from .ns_lattice import (
     DIM,
@@ -110,36 +112,6 @@ def orthogonal_generator(ns, config):
 # 3-divisibility words
 
 
-def _gf3_nullspace(mat):
-    """Basis of {x : mat * x = 0 over GF(3)} for an integer matrix."""
-    m, n = len(mat), len(mat[0])
-    a = [[x % 3 for x in row] for row in mat]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c]), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        if a[r][c] == 2:
-            a[r] = [(2 * x) % 3 for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [(x - f * y) % 3 for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [0] * n
-        v[fc] = 1
-        for prow, pc in enumerate(pivots):
-            v[pc] = (-a[prow][fc]) % 3
-        basis.append(tuple(v))
-    return basis
-
-
 def _divisibility_words(ns, config):
     """All words w in (Z/3)^9 with (1/3) sum_j w_j (C_j - D_j) in NS."""
     diffs = []
@@ -149,8 +121,7 @@ def _divisibility_words(ns, config):
             raise NotAConfiguration("difference class left the lattice")
         diffs.append(delta)
     # left kernel of the 9 x 19 matrix of differences, over GF(3)
-    mat = [[diffs[l][c] for l in range(N_BLOCKS)] for c in range(DIM)]
-    basis = _gf3_nullspace(mat)
+    basis = gf3_kernel(diffs)
     if len(basis) != 3:
         raise NotAConfiguration("3-divisible words must form (Z/3)^3")
     words = set()
@@ -242,17 +213,16 @@ class IsometryCandidate:
     sigma: tuple        # images of blocks 1..9 (values 1..9)
     swaps: tuple        # True: A_k goes to the second member of the block
     matrix: tuple       # 19 x 19, integral for every accepted candidate
-    status: str         # pruned | non_integral | disc_fail | accepted
-    disc_sign: object = None
-    order: object = None   # int, "infinite", or None when not classified
+    disc_sign: int
 
     def to_json_dict(self):
+        # only accepted candidates are kept; the order is not classified here
         return {
             "sigma": list(self.sigma),
             "swaps": "".join("1" if s else "0" for s in self.swaps),
-            "status": self.status,
+            "status": "accepted",
             "disc_sign": self.disc_sign,
-            "order": self.order,
+            "order": None,
         }
 
 
@@ -329,20 +299,13 @@ def _disc_sign(ns, x_mat):
     return 1 if 1 in signs else -1
 
 
-def _pairing_matrix(L2):
-    q = [[0] * DIM for _ in range(DIM)]
-    q[0][0] = L2
-    for j in range(1, DIM, 2):
-        q[j][j] = q[j + 1][j + 1] = -2
-        q[j][j + 1] = q[j + 1][j] = 1
-    return q
-
-
 def _is_isometry(L2, mtilde):
-    q = _pairing_matrix(L2)
-    mt = [list(r) for r in mtilde]
-    left = mat_mul(mat_mul(mt, q), [list(col) for col in zip(*mt)])
-    return left == q
+    """True when the rows (images of the Q-basis) pair with each other as
+    the Q-basis vectors themselves do."""
+    unit = identity_matrix(DIM)
+    return all(pairing_times_nine(L2, mtilde[i], mtilde[j])
+               == pairing_times_nine(L2, unit[i], unit[j])
+               for i in range(DIM) for j in range(DIM))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +376,6 @@ def _search_worker(ns, source, target, sigmas):
                 sigma=sigma,
                 swaps=swaps,
                 matrix=tuple(tuple(int(x) for x in row) for row in mtilde),
-                status="accepted",
                 disc_sign=sign,
             ))
     return accepted, integral, disc_fail

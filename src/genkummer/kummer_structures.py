@@ -11,7 +11,8 @@ and there is no automorphism carrying the standard configuration to the new
 one exactly when x0 is not +-1 modulo 2t (respectively 2k).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 from . import pell
 from .ns_lattice import (
@@ -153,7 +154,7 @@ class DecisionReport:
     criterion_ok: bool
     criterion_only: bool
     two_structures: bool
-    search_agrees: object = None
+    search_agrees: object = None   # bool once a scan cross-checks the row
     note: str = ""
 
     def to_json_dict(self):
@@ -213,33 +214,53 @@ def admissible_values(L2_min, L2_max):
     return [v for v in range(L2_min, L2_max + 1) if v >= 2 and v % 6 in (0, 2)]
 
 
-def scan(L2_min, L2_max):
+def _scan_report(L2, with_search):
+    """The scan() report for one L^2."""
+    ns = build_ns(L2)
+    try:
+        report = decide(ns)
+    except NoPellSolution:
+        return DecisionReport(
+            L2=L2,
+            case=ns.case,
+            pell=None,
+            b1prime=None,
+            lprime=None,
+            modulus=_pell_modulus(ns)[1],
+            residue=None,
+            hypotheses=HypothesisFlags(False, False, False),
+            criterion_ok=False,
+            criterion_only=False,
+            two_structures=False,
+            note="no-pell-solution",
+        )
+    if not with_search or L2 % 18 == 0:
+        return report
+    from .isometry_search import replacement_config, search, standard_config
+
+    result = search(ns, standard_config(ns), replacement_config(ns))
+    return replace(report, search_agrees=(
+        (len(result.accepted) == 0) == report.two_structures))
+
+
+def scan(L2_min, L2_max, jobs=1, with_search=False):
     """One DecisionReport per admissible L^2 in [L2_min, L2_max].
 
     Polarizations whose Pell equation is unsolvable get a report with the
-    construction fields empty and two_structures False.
+    construction fields empty and two_structures False.  with_search runs
+    the isometry search on every other row outside L^2 = 0 mod 18, and
+    search_agrees says whether finding no isometry matches two_structures.
+    jobs > 1 computes the rows across processes; the result does not depend
+    on jobs.
     """
-    reports = []
-    for L2 in admissible_values(L2_min, L2_max):
-        ns = build_ns(L2)
-        try:
-            reports.append(decide(ns))
-        except NoPellSolution:
-            reports.append(DecisionReport(
-                L2=L2,
-                case=ns.case,
-                pell=None,
-                b1prime=None,
-                lprime=None,
-                modulus=_pell_modulus(ns)[1],
-                residue=None,
-                hypotheses=HypothesisFlags(False, False, False),
-                criterion_ok=False,
-                criterion_only=False,
-                two_structures=False,
-                note="no-pell-solution",
-            ))
-    return reports
+    values = admissible_values(L2_min, L2_max)
+    row = partial(_scan_report, with_search=with_search)
+    if jobs > 1 and len(values) >= 2:
+        from multiprocessing import Pool
+
+        with Pool(jobs) as pool:
+            return pool.map(row, values)
+    return [row(L2) for L2 in values]
 
 
 def verify_uniqueness(ns, n):

@@ -17,6 +17,8 @@ from fractions import Fraction
 
 from .exact_linalg import (
     enumerate_norm_vectors,
+    gf3_echelon,
+    gf3_reduce,
     has_norm_vector,
     hnf,
     hnf_pivots,
@@ -180,16 +182,18 @@ class K3Lattice:
     gram: tuple
 
 
-def _curve_gram_entry(n, m):
-    total = 0
-    for j in range(0, 18, 2):
-        a, b = n[j], n[j + 1]
-        ap, bp = m[j], m[j + 1]
-        total += -2 * a * ap + a * bp + b * ap - 2 * b * bp
-    q, r = divmod(total, 9)
-    if r:
-        raise AssertionError("non-integral pairing on an integral basis")
-    return q
+def _integral_gram(L2, rows):
+    """Gram matrix of numerator rows, asserting every pairing is integral."""
+    gram = []
+    for n in rows:
+        row = []
+        for m in rows:
+            q, r = divmod(pairing_times_nine(L2, n, m), 9)
+            if r:
+                raise AssertionError("non-integral pairing on an integral basis")
+            row.append(q)
+        gram.append(row)
+    return gram
 
 
 def build_k3():
@@ -209,8 +213,8 @@ def build_k3():
     basis = h[:18]
     if len(hnf_pivots(h)) != 18:
         raise AssertionError("curve-block lattice must have rank 18")
-    gram = [[_curve_gram_entry(basis[i], basis[j]) for j in range(18)]
-            for i in range(18)]
+    # curve coordinates only: prepend a zero L-coefficient
+    gram = _integral_gram(0, [[0] + row for row in basis])
     factors, _, _ = snf(gram)
     det = 1
     for f in factors:
@@ -290,34 +294,6 @@ def _decompose_roots(L2, reps):
 # the full rank-19 lattice
 
 
-def _mod3_echelon(rows):
-    """Reduced echelon basis over GF(3) of the span of the given rows."""
-    ech = []
-    for row in rows:
-        vec = [x % 3 for x in row]
-        for piv, erow in ech:
-            c = vec[piv]
-            if c:
-                vec = [(a - c * b) % 3 for a, b in zip(vec, erow)]
-        piv = next((i for i, x in enumerate(vec) if x), None)
-        if piv is None:
-            continue
-        inv = 1 if vec[piv] == 1 else 2
-        vec = [(inv * x) % 3 for x in vec]
-        ech.append((piv, vec))
-    ech.sort()
-    return ech
-
-
-def _mod3_reduce(ech, vec):
-    vec = [x % 3 for x in vec]
-    for piv, erow in ech:
-        c = vec[piv]
-        if c:
-            vec = [(a - c * b) % 3 for a, b in zip(vec, erow)]
-    return vec
-
-
 def gluing_class(L2):
     """The index-3 gluing vector (L + v)/3 adjoined in the 0 mod 6 cases."""
     if L2 % 18 == 0:
@@ -377,16 +353,7 @@ class NSModel:
             raise AssertionError("Neron-Severi basis must have rank 19")
         self.basis = tuple(tuple(r) for r in h[:DIM])
 
-        gram = []
-        for i in range(DIM):
-            row = []
-            for j in range(DIM):
-                q, r = divmod(
-                    pairing_times_nine(L2, self.basis[i], self.basis[j]), 9)
-                if r:
-                    raise AssertionError("basis pairing is not integral")
-                row.append(q)
-            gram.append(row)
+        gram = _integral_gram(L2, self.basis)
         for i in range(DIM):
             if gram[i][i] % 2:
                 raise AssertionError("lattice is not even")
@@ -405,13 +372,13 @@ class NSModel:
         self.disc_transform_rows = tuple(
             (factors[i], tuple(u[i])) for i in range(DIM) if factors[i] != 1)
 
-        self._mod3 = _mod3_echelon(self.basis)
+        self._mod3 = gf3_echelon(self.basis)
 
     # -- membership -------------------------------------------------------
 
     def contains(self, c):
         """True iff the class lies in the lattice."""
-        return not any(_mod3_reduce(self._mod3, c.num))
+        return not any(gf3_reduce(self._mod3, c.num))
 
     def coords(self, c):
         """Integer coordinates of a class on the lattice basis, or None."""
@@ -421,7 +388,7 @@ class NSModel:
 
     def pairing(self, c, d):
         """Exact intersection number; an integer on lattice classes."""
-        return Fraction(pairing_times_nine(self.L2, c.num, d.num), 9)
+        return pairing_of(self.L2, c, d)
 
     def square(self, c):
         return self.pairing(c, c)

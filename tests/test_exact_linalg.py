@@ -2,7 +2,7 @@ import itertools
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from genkummer.exact_linalg import (
     IndefiniteForm,
@@ -11,6 +11,8 @@ from genkummer.exact_linalg import (
     charpoly,
     det_bareiss,
     enumerate_norm_vectors,
+    gf3_echelon,
+    gf3_kernel,
     has_norm_vector,
     hnf,
     hnf_pivots,
@@ -119,9 +121,7 @@ def test_snf_singular_rejected():
 def nonsingular_matrices(draw):
     n = draw(st.integers(2, 4))
     m = [[draw(st.integers(-5, 5)) for _ in range(n)] for _ in range(n)]
-    if det_bareiss(m) == 0:
-        for i in range(n):
-            m[i][i] += 7
+    assume(det_bareiss(m) != 0)
     return m
 
 
@@ -170,6 +170,37 @@ def test_kernel_basis_saturated():
     assert len(rows) == 2
     for r in rows:
         assert 2 * r[0] + 4 * r[1] + 6 * r[2] == 0
+
+
+# ---------------------------------------------------------------------------
+# GF(3)
+
+
+@st.composite
+def small_matrices(draw):
+    m = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 4))
+    return [[draw(st.integers(-7, 7)) for _ in range(k)] for _ in range(m)]
+
+
+@given(small_matrices())
+@settings(max_examples=200, deadline=None)
+def test_gf3_kernel_is_the_kernel(mat):
+    m, k = len(mat), len(mat[0])
+    basis = gf3_kernel(mat)
+    for x in basis:
+        assert all(sum(x[i] * mat[i][j] for i in range(m)) % 3 == 0
+                   for j in range(k))
+    rank = len(gf3_echelon(mat))
+    assert len(basis) == m - rank
+    # the span of the basis is the whole kernel, found by brute force
+    brute = {x for x in itertools.product(range(3), repeat=m)
+             if all(sum(x[i] * mat[i][j] for i in range(m)) % 3 == 0
+                    for j in range(k))}
+    span = {tuple(sum(c * v[i] for c, v in zip(coeffs, basis)) % 3
+                  for i in range(m))
+            for coeffs in itertools.product(range(3), repeat=len(basis))}
+    assert span == brute
 
 
 # ---------------------------------------------------------------------------
