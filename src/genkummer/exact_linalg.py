@@ -1,4 +1,5 @@
-"""Exact integer/rational linear algebra and short-vector enumeration.
+"""Exact integer/rational linear algebra, short-vector enumeration, and the
+characteristic polynomial and multiplicative order of integer matrices.
 
 Matrices are plain lists of rows; entries are Python ints (arbitrary
 precision) or fractions.Fraction.  Nothing here ever touches a float:
@@ -7,7 +8,8 @@ and every candidate is verified with exact arithmetic.
 """
 
 from fractions import Fraction
-from math import isqrt
+from functools import lru_cache
+from math import gcd, isqrt
 
 
 class SingularMatrix(ValueError):
@@ -39,8 +41,8 @@ def transpose(mat):
 
 
 def mat_mul(a, b):
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+    """Matrix product; zero entries of a are skipped, so sparse rows are cheap."""
+    return [vec_mat(row, b) for row in a]
 
 
 def vec_mat(v, mat):
@@ -555,3 +557,107 @@ def charpoly(mat):
     if any(x for row in m for x in row):
         raise AssertionError("Cayley-Hamilton verification failed")
     return coeffs
+
+
+# ---------------------------------------------------------------------------
+# multiplicative order
+
+
+def _totient(n):
+    result = n
+    p = 2
+    m = n
+    while p * p <= m:
+        if m % p == 0:
+            while m % p == 0:
+                m //= p
+            result -= result // p
+        p += 1
+    if m > 1:
+        result -= result // m
+    return result
+
+
+@lru_cache(maxsize=None)
+def _small_totients(n):
+    """(d, phi(d)) for every d with phi(d) <= n, ascending in d.
+
+    phi(d) >= sqrt(d/2), so every such d is at most 2*n^2.
+    """
+    return tuple((d, phi) for d in range(1, 2 * n * n + 1)
+                 if (phi := _totient(d)) <= n)
+
+
+_CYCLOTOMIC_CACHE = {}
+
+
+def _cyclotomic(d):
+    """Coefficients of the d-th cyclotomic polynomial, descending powers."""
+    if d in _CYCLOTOMIC_CACHE:
+        return _CYCLOTOMIC_CACHE[d]
+    poly = [1] + [0] * (d - 1) + [-1]
+    for e in range(1, d):
+        if d % e == 0:
+            poly = _poly_div_exact(poly, _cyclotomic(e))
+            if poly is None:
+                raise AssertionError("cyclotomic division must be exact")
+    _CYCLOTOMIC_CACHE[d] = poly
+    return poly
+
+
+def _poly_div_exact(num, den):
+    """Quotient of exact polynomial division (descending coefficients), or
+    None when den does not divide num over Z.  den must be monic."""
+    if den[0] != 1:
+        raise ValueError("divisor must be monic")
+    num = list(num)
+    if len(num) < len(den):
+        return None
+    q = []
+    while len(num) >= len(den):
+        f = num[0]
+        q.append(f)
+        if f:
+            for i in range(1, len(den)):
+                num[i] -= f * den[i]
+        num.pop(0)
+    return q if not any(num) else None
+
+
+def matrix_order(mat):
+    """Exact multiplicative order of a square integer matrix.
+
+    Returns an int when the matrix has finite order (verified by exact
+    powering), "infinite" otherwise.  Finite order forces the characteristic
+    polynomial to be a product of cyclotomic polynomials; when it is, the
+    only possible order is the lcm of their indices.
+    """
+    n = len(mat)
+    poly = charpoly(mat)
+    indices = []
+    for d, phi in _small_totients(n):
+        while len(poly) - 1 >= phi:
+            quotient = _poly_div_exact(poly, _cyclotomic(d))
+            if quotient is None:
+                break
+            poly = quotient
+            indices.append(d)
+        if len(poly) == 1:
+            break
+    if poly != [1]:
+        return "infinite"
+    order = 1
+    for d in indices:
+        order = order * d // gcd(order, d)
+    power = identity_matrix(n)
+    base = mat
+    e = order
+    while e:
+        if e & 1:
+            power = mat_mul(power, base)
+        e >>= 1
+        if e:
+            base = mat_mul(base, base)
+    if power == identity_matrix(n):
+        return order
+    return "infinite"

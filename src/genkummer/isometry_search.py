@@ -8,21 +8,33 @@ block (send A_k to either member of target block sigma(k)); together with
 map on the whole rank-19 lattice.  Of the 9! * 2^9 = 185,794,560 candidates,
 almost all die on the 3-divisibility block supports (the prune), and the
 surviving permutations admit at most two swap masks compatible with the
-fully-supported 3-divisible class.  A 19 x 19 matrix is materialized for
-every (permutation, mask) pair that also maps the 3-divisible words onto
-the target's: 864 of them for L^2 = 8 (432 permutations times two masks),
-of which 18 are accepted and 846 fail the discriminant test.  Each is
-checked for integrality on the lattice basis and for acting as +-identity
-on the discriminant group; preservation of ample classes holds
-automatically for maps of this shape and is not re-tested per candidate.
+fully-supported 3-divisible class.  Every (permutation, mask) pair that also
+maps the 3-divisible words onto the target's (864 of them for L^2 = 8: 432
+permutations times two masks) is tested without building its matrix.  NS
+lies between M0 = Z*L + <curves> and (1/3)*M0, and the map sends L and the
+curves into NS, so it preserves NS exactly when it keeps the glue generators
+t_1, t_2, t_3 (and the gluing class when L^2 = 0 mod 6) in NS: a GF(3) test
+on their images.  The +-identity action on the discriminant group is then
+read off the images of the discriminant generators' lifts.  A 19 x 19 matrix
+is built only for the candidates that pass both tests (18 of the 864 for
+L^2 = 8), and the reference matrix path re-checks each of them.
+Preservation of ample classes holds automatically for maps of this shape
+and is not re-tested per candidate.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
-from .exact_linalg import charpoly, gf3_kernel, identity_matrix, mat_mul, vec_mat
-from .kummer_structures import construct
+from .exact_linalg import (
+    gf3_kernel,
+    identity_matrix,
+    matrix_order,
+    solve_hnf,
+    vec_mat,
+)
+from .kummer_structures import construct, pell_data, resolve_swap
 from .ns_lattice import (
     DIM,
     DivisorClass,
@@ -30,6 +42,7 @@ from .ns_lattice import (
     N_BLOCKS,
     curve_a,
     curve_b,
+    fractional_generator,
     pairing_times_nine,
     zero_class,
 )
@@ -59,11 +72,10 @@ def replacement_config(ns, swap=None):
     resolves the exchange automatically (needed exactly when L^2 = 0 mod 18
     with 3 not dividing y0 and the unswapped class is the reducible side).
     """
+    fund = pell_data(ns)
     if swap is None:
-        from .kummer_structures import resolve_swap
-
-        swap = resolve_swap(ns)
-    b1p, _ = construct(ns, swap=swap)
+        swap = resolve_swap(ns, fund=fund)
+    b1p, _ = construct(ns, swap=swap, fund=fund)
     first = (curve_b(1), b1p) if swap else (curve_a(1), b1p)
     return (first,) + tuple(
         (curve_a(j), curve_b(j)) for j in range(2, N_BLOCKS + 1))
@@ -280,14 +292,26 @@ def basis_matrix(ns, mtilde):
 def _disc_sign(ns, x_mat):
     """+1 or -1 when the map acts on the discriminant group by that sign on
     every generator; None otherwise."""
+
+    def images():
+        for d, urow in ns.disc_transform_rows:
+            ux = [0] * DIM
+            for i, ui in enumerate(urow):
+                if ui % d:
+                    row = x_mat[i]
+                    for j in range(DIM):
+                        ux[j] += ui * row[j]
+            yield d, urow, ux
+
+    return _common_sign(images())
+
+
+def _common_sign(images):
+    """+1 or -1 when every image ux of a discriminant generator's lift urow
+    (given as (d, urow, ux), coordinates on the lattice basis) is that sign
+    times urow modulo d; None otherwise."""
     signs = {1, -1}
-    for d, urow in ns.disc_transform_rows:
-        ux = [0] * DIM
-        for i, ui in enumerate(urow):
-            if ui % d:
-                row = x_mat[i]
-                for j in range(DIM):
-                    ux[j] += ui * row[j]
+    for d, urow, ux in images:
         ok = set()
         if all((a - b) % d == 0 for a, b in zip(ux, urow)):
             ok.add(1)
@@ -299,13 +323,91 @@ def _disc_sign(ns, x_mat):
     return 1 if 1 in signs else -1
 
 
+@lru_cache(maxsize=1)
+def _q_basis_gram(L2):
+    """Gram matrix of the Q-basis (L, A_1, B_1, ..., A_9, B_9)."""
+    unit = identity_matrix(DIM)
+    return tuple(tuple(pairing_times_nine(L2, unit[i], unit[j])
+                       for j in range(DIM)) for i in range(DIM))
+
+
 def _is_isometry(L2, mtilde):
     """True when the rows (images of the Q-basis) pair with each other as
     the Q-basis vectors themselves do."""
-    unit = identity_matrix(DIM)
-    return all(pairing_times_nine(L2, mtilde[i], mtilde[j])
-               == pairing_times_nine(L2, unit[i], unit[j])
-               for i in range(DIM) for j in range(DIM))
+    gram = _q_basis_gram(L2)
+    return all(pairing_times_nine(L2, mtilde[i], mtilde[j]) == gram[i][j]
+               for i in range(DIM) for j in range(i, DIM))
+
+
+def _sparse(num):
+    return tuple((i, x) for i, x in enumerate(num) if x)
+
+
+class _MatrixFreeFilter:
+    """Integrality and discriminant verdicts for the candidate maps onto one
+    target configuration, from the images of a few classes instead of the
+    19 x 19 matrix.
+
+    A candidate sends the Q-basis vector in row i of _candidate_matrix to
+    (1/3) times the numerators of a target class, so a class with numerators
+    n goes to the class with numerators (1/9) sum_i n_i * target_i.  The
+    target numerators are kept sparse: in a replacement configuration only
+    L's image and block 1 are dense.
+    """
+
+    def __init__(self, ns, target):
+        self.ns = ns
+        self.l_target = orthogonal_generator(ns, target)
+        self._l_row = _sparse(self.l_target.num)
+        self._blocks = tuple((_sparse(c.num), _sparse(d.num)) for c, d in target)
+        # L and the curves go into NS by construction, so these generate NS
+        # over what the map is already known to preserve
+        glue = [fractional_generator(i) for i in (1, 2, 3)]
+        if ns.gluing is not None:
+            glue.append(ns.gluing)
+        self._glue = tuple(_sparse(g.num) for g in glue)
+        # lifts u * basis of the discriminant generators, as numerators
+        self._lifts = tuple((d, urow, _sparse(vec_mat(urow, ns.basis)))
+                            for d, urow in ns.disc_transform_rows)
+
+    def _rows(self, sigma, swaps):
+        rows = [self._l_row]
+        for k in range(N_BLOCKS):
+            c, d = self._blocks[sigma[k] - 1]
+            rows.extend((d, c) if swaps[k] else (c, d))
+        return rows
+
+    @staticmethod
+    def _image(rows, terms):
+        """Numerators of the image of the class with sparse numerators
+        terms, or None when it leaves (1/3) * M0 (they are not integers)."""
+        acc = [0] * DIM
+        for i, c in terms:
+            for j, x in rows[i]:
+                acc[j] += c * x
+        for x in acc:
+            if x % 3:
+                return None
+        return [x // 3 for x in acc]
+
+    def verdict(self, sigma, swaps):
+        """(integral, sign): whether the map preserves NS, and then its
+        discriminant sign, +1 or -1, or None when it acts by neither."""
+        rows = self._rows(sigma, swaps)
+        for terms in self._glue:
+            img = self._image(rows, terms)
+            if img is None or not self.ns.contains_numerators(img):
+                return False, None
+
+        def images():
+            for d, urow, lift in self._lifts:
+                img = self._image(rows, lift)
+                ux = None if img is None else solve_hnf(self.ns.basis, range(DIM), img)
+                if ux is None:
+                    raise AssertionError("an NS-preserving map left NS")
+                yield d, urow, ux
+
+        return True, _common_sign(images())
 
 
 # ---------------------------------------------------------------------------
@@ -314,6 +416,17 @@ def _is_isometry(L2, mtilde):
 
 @dataclass(frozen=True)
 class SearchResult:
+    """Accepted maps and where the other candidates went.
+
+    status_counts sums to 9! * 2^9: "pruned" counts the permutations the
+    block supports rule out (times 2^9 masks), "disc_fail" the maps that
+    preserve NS but act on the discriminant group by neither sign, and
+    "accepted" the rest of the NS-preserving maps.  "non_integral" counts
+    every other candidate: the maps that do not preserve NS, and also the
+    swap masks rejected by the 3-divisible word test before any map is
+    tested.
+    """
+
     accepted: tuple
     prune_count: int
     status_counts: dict
@@ -326,11 +439,9 @@ class SearchResult:
         }
 
 
-def _search_worker(ns, source, target, sigmas):
-    """Test the candidates over the given permutations; returns the accepted
-    list plus how many candidates were integral and how many failed the
-    discriminant condition.  Stateless, so chunks can run in parallel."""
-    l_tgt = orthogonal_generator(ns, target)
+def _word_candidates(ns, source, target, sigmas):
+    """The (sigma, swaps) pairs over the given permutations that map the
+    3-divisible words of the source onto those of the target."""
     src_words, src_basis = _divisibility_words(ns, source)
     tgt_words, _ = _divisibility_words(ns, target)
     tgt_set = set(tgt_words)
@@ -340,9 +451,6 @@ def _search_worker(ns, source, target, sigmas):
         raise NotAConfiguration("expected exactly two fully supported words")
 
     c9 = src_nine[0]
-    accepted = []
-    integral = 0
-    disc_fail = 0
     for sigma in sigmas:
         for w9 in tgt_nine:
             # the fully supported word pins the swap mask up to this choice
@@ -358,26 +466,38 @@ def _search_worker(ns, source, target, sigmas):
                 if tuple(moved) not in tgt_set:
                     ok = False
                     break
-            if not ok:
-                continue
-            swaps = tuple(e == 2 for e in eps)
-            mtilde = _candidate_matrix(l_tgt, target, sigma, swaps)
-            x_mat = basis_matrix(ns, mtilde)
-            if x_mat is None:
-                continue
-            integral += 1
-            sign = _disc_sign(ns, x_mat)
-            if sign is None:
-                disc_fail += 1
-                continue
-            if not _is_isometry(ns.L2, mtilde):
-                raise AssertionError("accepted candidate must preserve the form")
-            accepted.append(IsometryCandidate(
-                sigma=sigma,
-                swaps=swaps,
-                matrix=tuple(tuple(int(x) for x in row) for row in mtilde),
-                disc_sign=sign,
-            ))
+            if ok:
+                yield sigma, tuple(e == 2 for e in eps)
+
+
+def _search_worker(ns, source, target, sigmas):
+    """Test the candidates over the given permutations; returns the accepted
+    list plus how many candidates were integral and how many failed the
+    discriminant condition.  Stateless, so chunks can run in parallel."""
+    check = _MatrixFreeFilter(ns, target)
+    accepted = []
+    integral = 0
+    disc_fail = 0
+    for sigma, swaps in _word_candidates(ns, source, target, sigmas):
+        preserves, sign = check.verdict(sigma, swaps)
+        if not preserves:
+            continue
+        integral += 1
+        if sign is None:
+            disc_fail += 1
+            continue
+        mtilde = _candidate_matrix(check.l_target, target, sigma, swaps)
+        x_mat = basis_matrix(ns, mtilde)
+        if x_mat is None or _disc_sign(ns, x_mat) != sign:
+            raise AssertionError("matrix-free verdict disagrees with the basis matrix")
+        if not _is_isometry(ns.L2, mtilde):
+            raise AssertionError("accepted candidate must preserve the form")
+        accepted.append(IsometryCandidate(
+            sigma=sigma,
+            swaps=swaps,
+            matrix=tuple(tuple(int(x) for x in row) for row in mtilde),
+            disc_sign=sign,
+        ))
     return accepted, integral, disc_fail
 
 
@@ -639,97 +759,8 @@ def _structure_name(elements, table, center, sigma_index):
 # order classification
 
 
-def _totient(n):
-    result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
-_CYCLOTOMIC_CACHE = {}
-
-
-def _cyclotomic(d):
-    """Coefficients of the d-th cyclotomic polynomial, descending powers."""
-    if d in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[d]
-    poly = [1] + [0] * (d - 1) + [-1]
-    for e in range(1, d):
-        if d % e == 0:
-            poly = _poly_div_exact(poly, _cyclotomic(e))
-            if poly is None:
-                raise AssertionError("cyclotomic division must be exact")
-    _CYCLOTOMIC_CACHE[d] = poly
-    return poly
-
-
-def _poly_div_exact(num, den):
-    """Quotient of exact polynomial division (descending coefficients), or
-    None when den does not divide num over Z.  den must be monic."""
-    if den[0] != 1:
-        raise ValueError("divisor must be monic")
-    num = list(num)
-    if len(num) < len(den):
-        return None
-    q = []
-    while len(num) >= len(den):
-        f = num[0]
-        q.append(f)
-        if f:
-            for i in range(1, len(den)):
-                num[i] -= f * den[i]
-        num.pop(0)
-    return q if not any(num) else None
-
-
 def classify_order(candidate):
-    """Exact multiplicative order of an accepted candidate.
-
-    Returns an int when the matrix has finite order (verified by exact
-    powering), "infinite" otherwise.  Finite order forces the characteristic
-    polynomial to be a product of cyclotomic polynomials; when it is, the
-    only possible order is the lcm of their indices.
-    """
-    mat = [list(r) for r in candidate.matrix] \
-        if isinstance(candidate, IsometryCandidate) else [list(r) for r in candidate]
-    n = len(mat)
-    poly = charpoly(mat)
-    indices = []
-    # phi(d) >= sqrt(d/2), so every cyclotomic factor of degree <= n has
-    # index at most 2*n^2
-    for d in range(1, 2 * n * n + 1):
-        if _totient(d) > n:
-            continue
-        while len(poly) - 1 >= _totient(d):
-            quotient = _poly_div_exact(poly, _cyclotomic(d))
-            if quotient is None:
-                break
-            poly = quotient
-            indices.append(d)
-        if len(poly) == 1:
-            break
-    if poly != [1]:
-        return "infinite"
-    order = 1
-    for d in indices:
-        order = order * d // gcd(order, d)
-    power = identity_matrix(n)
-    base = mat
-    e = order
-    while e:
-        if e & 1:
-            power = mat_mul(power, base)
-        e >>= 1
-        if e:
-            base = mat_mul(base, base)
-    if power == identity_matrix(n):
-        return order
-    return "infinite"
+    """Exact multiplicative order of an accepted candidate's matrix (or of a
+    square integer matrix): an int, or "infinite"; see matrix_order."""
+    mat = candidate.matrix if isinstance(candidate, IsometryCandidate) else candidate
+    return matrix_order([list(r) for r in mat])

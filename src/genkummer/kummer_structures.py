@@ -52,15 +52,17 @@ def pell_data(ns):
     return pell.fundamental_solution(d)
 
 
-def construct(ns, swap=False):
+def construct(ns, swap=False, fund=None):
     """Build the replacement curve class and the new orthogonal generator.
 
     Returns (b1p, lp) where b1p is the square -2 class with b1p.A_1 = 1
     replacing B_1, and lp generates the orthogonal complement of the new
     configuration {A_1, b1p, A_2, B_2, ..., A_9, B_9}.  With swap=True the
-    roles of A_1 and B_1 are exchanged throughout.
+    roles of A_1 and B_1 are exchanged throughout.  fund is pell_data(ns),
+    solved here when not given.
     """
-    fund = pell_data(ns)
+    if fund is None:
+        fund = pell_data(ns)
     x0, y0 = fund.x0, fund.y0
     if x0 % 2 == 0:
         raise AssertionError("x0 must be odd for these discriminants")
@@ -99,17 +101,19 @@ class HypothesisFlags:
         }
 
 
-def check_hypotheses(ns):
+def check_hypotheses(ns, fund=None):
     """Evaluate the hypotheses guarding irreducibility of the new curve.
 
     The replacement class is known to be an irreducible curve when
     L^2 = 2 mod 6, or L^2 is not 0 mod 18, or 3 divides y0; in the remaining
     case the construction still works after exchanging A_1 and B_1 where
-    necessary, which the swap flag records.
+    necessary, which the swap flag records.  fund is pell_data(ns), solved
+    here when not given.
     """
     if pell.is_square(6 * ns.L2):
         return HypothesisFlags(False, False, False)
-    fund = pell_data(ns)
+    if fund is None:
+        fund = pell_data(ns)
     zero_mod18 = ns.case == CASE_ZERO_MOD18
     irreducible = (ns.case == CASE_TWO_MOD6) or (not zero_mod18) \
         or (fund.y0 % 3 == 0)
@@ -117,23 +121,26 @@ def check_hypotheses(ns):
     return HypothesisFlags(True, irreducible, swap)
 
 
-def resolve_swap(ns, flags=None):
+def resolve_swap(ns, flags=None, fund=None):
     """Pick the side of the A_1/B_1 exchange that actually works.
 
     Outside the flagged case nothing is exchanged.  When L^2 = 0 mod 18 and
     3 does not divide y0, exactly one of the two constructions has an
     orthogonal complement whose roots are the nine A2 blocks of the new
     configuration and nothing more; the other picks up extra roots (the
-    replacement class is reducible there).  The root count decides.
+    replacement class is reducible there).  The root count decides.  fund
+    is pell_data(ns), solved here when needed and not given.
     """
     if flags is None:
-        flags = check_hypotheses(ns)
+        flags = check_hypotheses(ns, fund)
     if not flags.swapped_A1_B1:
         return False
-    _, lp = construct(ns, swap=False)
+    if fund is None:
+        fund = pell_data(ns)
+    _, lp = construct(ns, swap=False, fund=fund)
     if len(ns.root_system_of_orthogonal(lp).roots) == 54:
         return False
-    _, lp_swapped = construct(ns, swap=True)
+    _, lp_swapped = construct(ns, swap=True, fund=fund)
     if len(ns.root_system_of_orthogonal(lp_swapped).roots) != 54:
         raise AssertionError("neither exchange side gives a clean complement")
     return True
@@ -185,9 +192,9 @@ def decide(ns):
     """
     _, modulus = _pell_modulus(ns)
     fund = pell_data(ns)
-    flags = check_hypotheses(ns)
-    swapped = resolve_swap(ns, flags)
-    b1p, lp = construct(ns, swap=swapped)
+    flags = check_hypotheses(ns, fund)
+    swapped = resolve_swap(ns, flags, fund)
+    b1p, lp = construct(ns, swap=swapped, fund=fund)
     residue = fund.x0 % modulus
     criterion = residue not in (1 % modulus, (-1) % modulus)
     note = ""
@@ -271,7 +278,7 @@ def verify_uniqueness(ns, n):
     the fundamental replacement class, so it cannot be an irreducible curve.
     """
     fund = pell_data(ns)
-    b1p, _ = construct(ns)
+    b1p, _ = construct(ns, fund=fund)
     lead_factor = 3 if ns.case == CASE_TWO_MOD6 else 1
     sol = (fund.x0, fund.y0)
     for _ in range(n):

@@ -378,7 +378,12 @@ class NSModel:
 
     def contains(self, c):
         """True iff the class lies in the lattice."""
-        return not any(gf3_reduce(self._mod3, c.num))
+        return self.contains_numerators(c.num)
+
+    def contains_numerators(self, num):
+        """contains() for the class with these integer numerators: the
+        lattice holds 3 * Z^19, so only their residues mod 3 matter."""
+        return not any(gf3_reduce(self._mod3, num))
 
     def coords(self, c):
         """Integer coordinates of a class on the lattice basis, or None."""

@@ -6,6 +6,8 @@ summary) to see the per-criterion outcome.  Every tolerance is exact.
 
 from fractions import Fraction
 
+import pytest
+
 from genkummer import pell
 from genkummer.exact_linalg import det_bareiss
 from genkummer.fm_lattices import build as fm_build
@@ -19,7 +21,13 @@ from genkummer.isometry_search import (
     search,
     standard_config,
 )
-from genkummer.kummer_structures import admissible_values, construct, ramare_family, scan
+from genkummer.kummer_structures import (
+    admissible_values,
+    construct,
+    decide,
+    ramare_family,
+    scan,
+)
 from genkummer.ns_lattice import (
     build_k3,
     build_ns,
@@ -60,6 +68,22 @@ def test_criterion_2_search_criterion_equivalence():
             mismatches.append(L2)
     _report(2, not mismatches,
             f"search nonempty iff not in list, {len(values)} cases, "
+            f"mismatches = {mismatches}")
+
+
+@pytest.mark.slow
+def test_criterion_2_sweep_below_1000():
+    # every admissible L^2 < 1000 with a Pell solution, 0 mod 18 included:
+    # the search finds no isometry exactly when the residue criterion holds
+    mismatches = []
+    values = [v for v in admissible_values(2, 999) if not pell.is_square(6 * v)]
+    for L2 in values:
+        ns = build_ns(L2)
+        result = search(ns, standard_config(ns), replacement_config(ns))
+        if (not result.accepted) != decide(ns).criterion_ok:
+            mismatches.append(L2)
+    _report(2, not mismatches,
+            f"search empty iff criterion_ok, {len(values)} cases below 1000, "
             f"mismatches = {mismatches}")
 
 

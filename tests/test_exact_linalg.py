@@ -409,3 +409,37 @@ def test_charpoly_triangular(diag):
         poly = [a - d * b for a, b in
                 zip(poly + [0], [0] + poly)]
     assert charpoly(m) == poly
+
+
+# ---------------------------------------------------------------------------
+# differential checks against sympy
+
+
+@st.composite
+def square_integer_matrices(draw, n=None):
+    """Dense draws, or mostly unit rows like an accepted isometry's matrix."""
+    if n is None:
+        n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        return [[draw(st.integers(-9, 9)) for _ in range(n)] for _ in range(n)]
+    rows = []
+    for _ in range(n):
+        if draw(st.integers(0, 3)):
+            row = [0] * n
+            row[draw(st.integers(0, n - 1))] = draw(st.sampled_from([1, -1]))
+        else:
+            row = [draw(st.integers(-50, 50)) for _ in range(n)]
+        rows.append(row)
+    return rows
+
+
+@given(square_integer_matrices(), st.data())
+@settings(max_examples=120, deadline=None)
+def test_charpoly_and_mat_mul_match_sympy(m, data):
+    sympy = pytest.importorskip("sympy")
+    n = len(m)
+    other = data.draw(square_integer_matrices(n))
+    x = sympy.Symbol("x")
+    assert charpoly(m) == [int(c) for c in sympy.Matrix(m).charpoly(x).all_coeffs()]
+    want = sympy.Matrix(m) * sympy.Matrix(other)
+    assert mat_mul(m, other) == [[int(want[i, j]) for j in range(n)] for i in range(n)]

@@ -1,8 +1,15 @@
+from collections import Counter
+
 import pytest
 
+from genkummer import pell
 from genkummer.exact_linalg import identity_matrix
 from genkummer.isometry_search import (
     BlockDivisibilitySet,
+    _MatrixFreeFilter,
+    _candidate_matrix,
+    _disc_sign,
+    _word_candidates,
     NotAConfiguration,
     WrongPolarization,
     basis_matrix,
@@ -81,6 +88,31 @@ def test_prune_monotonicity():
     subsets[0] = frozenset({1, 2, 3, 4, 5, 6})
     tweaked = BlockDivisibilitySet(tuple(subsets))
     assert len(prune(bl, tweaked)) < 432
+
+
+@pytest.mark.parametrize("L2", [20, 24, 30, 36])
+def test_matrix_free_verdicts_match_the_basis_matrix(L2):
+    # one L^2 per case: 2 mod 6, then 6, 12 and 0 mod 18; L^2 = 24 has no
+    # Pell solution, so only its standard configuration is a target
+    ns = build_ns(L2)
+    source = standard_config(ns)
+    targets = [source]
+    if not pell.is_square(6 * L2):
+        targets.append(replacement_config(ns))
+    for target in targets:
+        sigmas = prune(block_sets(ns, source), block_sets(ns, target))
+        check = _MatrixFreeFilter(ns, target)
+        verdicts = Counter()
+        for sigma, swaps in _word_candidates(ns, source, target, sigmas):
+            mtilde = _candidate_matrix(check.l_target, target, sigma, swaps)
+            x_mat = basis_matrix(ns, mtilde)
+            want = (False, None) if x_mat is None else (True, _disc_sign(ns, x_mat))
+            assert check.verdict(sigma, swaps) == want, (sigma, swaps)
+            verdicts[want] += 1
+        assert sum(verdicts.values()) == 2 * len(sigmas)
+        assert verdicts[(True, None)] > 0
+        # with a gluing class, most candidates fail integrality on it alone
+        assert (verdicts[(False, None)] > 0) == (ns.gluing is not None)
 
 
 def test_search_identity_present():

@@ -122,6 +122,21 @@ def test_new_generator_residue_shape():
         assert all(diff.num[i] == 0 for i in range(3, 19))
 
 
+@pytest.mark.parametrize("L2", [20, 36, 126])
+def test_decide_solves_pell_once(L2, monkeypatch):
+    # 36 also runs the A_1/B_1 exchange, which constructs twice more
+    calls = []
+    solve = pell.fundamental_solution
+
+    def counted(D):
+        calls.append(D)
+        return solve(D)
+
+    monkeypatch.setattr(pell, "fundamental_solution", counted)
+    decide(build_ns(L2))
+    assert len(calls) == 1
+
+
 def test_check_hypotheses():
     flags = check_hypotheses(build_ns(20))
     assert flags.six_L2_nonsquare and flags.irreducibility_ok
