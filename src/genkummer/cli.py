@@ -135,7 +135,7 @@ def cmd_search(args):
             "error": str(exc),
         }), args.out)
         return EXIT_DOMAIN
-    result = search(ns, standard_config(ns), target, jobs=args.jobs)
+    result = search(ns, standard_config(ns), target)
     payload = result.to_json_dict()
     for cand, blob in zip(result.accepted, payload["accepted"]):
         blob["order"] = classify_order(cand)
@@ -182,7 +182,8 @@ def _common_flags(defaults):
                         help="output format (csv only for scan)")
     common.add_argument("--jobs", type=int,
                         **({"default": 1} if defaults else kw),
-                        help="worker processes for scan and search")
+                        help="worker processes for scan (other commands "
+                             "accept it and ignore it)")
     common.add_argument("--out", **({"default": None} if defaults else kw),
                         help="write output to a file")
     return common

@@ -17,9 +17,13 @@ t_1, t_2, t_3 (and the gluing class when L^2 = 0 mod 6) in NS: a GF(3) test
 on their images.  The +-identity action on the discriminant group is then
 read off the images of the discriminant generators' lifts.  A 19 x 19 matrix
 is built only for the candidates that pass both tests (18 of the 864 for
-L^2 = 8), and the reference matrix path re-checks each of them.
-Preservation of ample classes holds automatically for maps of this shape
-and is not re-tested per candidate.
+L^2 = 8), and the reference matrix path (basis coordinates from the shared
+HNF solver) re-checks each of them.  Preservation of ample classes holds
+automatically for maps of this shape and is not re-tested per candidate.
+
+A search is one pass in one process: it validates each configuration and
+builds its 3-divisible words once, and the block supports, the prune and
+the word test all read those words.
 """
 
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ from .exact_linalg import (
     solve_hnf,
     vec_mat,
 )
-from .kummer_structures import construct, pell_data, resolve_swap
+from .kummer_structures import construct, resolve_swap
 from .ns_lattice import (
     DIM,
     DivisorClass,
@@ -65,17 +69,15 @@ def standard_config(ns):
     return tuple((curve_a(j), curve_b(j)) for j in range(1, N_BLOCKS + 1))
 
 
-def replacement_config(ns, swap=None):
+def replacement_config(ns):
     """The alternate configuration with B_1 replaced by the Pell class.
 
-    With swap=True the roles of A_1 and B_1 are exchanged; the default
-    resolves the exchange automatically (needed exactly when L^2 = 0 mod 18
-    with 3 not dividing y0 and the unswapped class is the reducible side).
+    The roles of A_1 and B_1 are exchanged where resolve_swap says so
+    (L^2 = 0 mod 18 with 3 not dividing y0, when the unswapped class is the
+    reducible side).
     """
-    fund = pell_data(ns)
-    if swap is None:
-        swap = resolve_swap(ns, fund=fund)
-    b1p, _ = construct(ns, swap=swap, fund=fund)
+    swap = resolve_swap(ns)
+    b1p, _ = construct(ns, swap=swap)
     first = (curve_b(1), b1p) if swap else (curve_a(1), b1p)
     return (first,) + tuple(
         (curve_a(j), curve_b(j)) for j in range(2, N_BLOCKS + 1))
@@ -165,10 +167,8 @@ class BlockDivisibilitySet:
         object.__setattr__(self, "subsets", tuple(canonical))
 
 
-def block_sets(ns, config):
-    """Six-block supports of the 3-divisible classes of a configuration."""
-    validate_config(ns, config)
-    words, _ = _divisibility_words(ns, config)
+def _block_set(words):
+    """The twelve six-block supports among a configuration's 27 words."""
     supports = {_support(w) for w in words if len(_support(w)) == 6}
     sizes = sorted(len(_support(w)) for w in words)
     if sizes != [0] + [6] * 24 + [9] * 2:
@@ -176,6 +176,12 @@ def block_sets(ns, config):
     if len(supports) != 12:
         raise NotAConfiguration("expected exactly 12 six-block supports")
     return BlockDivisibilitySet(tuple(supports))
+
+
+def block_sets(ns, config):
+    """Six-block supports of the 3-divisible classes of a configuration."""
+    validate_config(ns, config)
+    return _block_set(_divisibility_words(ns, config)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -256,54 +262,24 @@ def _candidate_matrix(l_target, target, sigma, swaps):
     return rows
 
 
-def _solve_in_basis(basis, y_rows):
-    """Solve X * basis = Y for integer X, basis upper triangular; None if
-    any entry fails to be an integer."""
-    n = len(basis)
-    out = []
-    for y in y_rows:
-        rem = list(y)
-        x = [0] * n
-        for j in range(n):
-            q, r = divmod(rem[j], basis[j][j])
-            if r:
-                return None
-            if isinstance(q, Fraction):
-                if q.denominator != 1:
-                    return None
-                q = int(q)
-            x[j] = q
-            if q:
-                row = basis[j]
-                for k in range(j + 1, n):
-                    rem[k] -= q * row[k]
-        out.append(x)
-    return out
-
-
 def basis_matrix(ns, mtilde):
     """Matrix of the map on the lattice basis, or None when the map does not
     preserve the lattice.  Form-preserving maps have determinant +-1, so
     integrality of this matrix is the whole of the preservation condition."""
-    y_rows = [vec_mat(row, mtilde) for row in ns.basis]
-    return _solve_in_basis(ns.basis, y_rows)
+    x_mat = []
+    for row in ns.basis:
+        x = solve_hnf(ns.basis, range(DIM), vec_mat(row, mtilde))
+        if x is None:
+            return None
+        x_mat.append(x)
+    return x_mat
 
 
 def _disc_sign(ns, x_mat):
     """+1 or -1 when the map acts on the discriminant group by that sign on
     every generator; None otherwise."""
-
-    def images():
-        for d, urow in ns.disc_transform_rows:
-            ux = [0] * DIM
-            for i, ui in enumerate(urow):
-                if ui % d:
-                    row = x_mat[i]
-                    for j in range(DIM):
-                        ux[j] += ui * row[j]
-            yield d, urow, ux
-
-    return _common_sign(images())
+    return _common_sign((d, urow, vec_mat(urow, x_mat))
+                        for d, urow in ns.disc_transform_rows)
 
 
 def _common_sign(images):
@@ -439,11 +415,10 @@ class SearchResult:
         }
 
 
-def _word_candidates(ns, source, target, sigmas):
+def _word_candidates(src_words, src_basis, tgt_words, sigmas):
     """The (sigma, swaps) pairs over the given permutations that map the
-    3-divisible words of the source onto those of the target."""
-    src_words, src_basis = _divisibility_words(ns, source)
-    tgt_words, _ = _divisibility_words(ns, target)
+    3-divisible words of the source (with their GF(3) basis) onto those of
+    the target."""
     tgt_set = set(tgt_words)
     src_nine = [w for w in src_words if len(_support(w)) == 9]
     tgt_nine = [w for w in tgt_words if len(_support(w)) == 9]
@@ -470,15 +445,23 @@ def _word_candidates(ns, source, target, sigmas):
                 yield sigma, tuple(e == 2 for e in eps)
 
 
-def _search_worker(ns, source, target, sigmas):
-    """Test the candidates over the given permutations; returns the accepted
-    list plus how many candidates were integral and how many failed the
-    discriminant condition.  Stateless, so chunks can run in parallel."""
+def search(ns, source, target):
+    """All isometries of NS sending the source configuration to the target
+    one (blockwise, respecting incidence) and the source orthogonal
+    generator to the target one, acting by +-identity on the discriminant
+    group.  Empty result means no such isometry exists.
+    """
+    validate_config(ns, source)
+    validate_config(ns, target)
+    src_words, src_basis = _divisibility_words(ns, source)
+    tgt_words, _ = _divisibility_words(ns, target)
+    sigmas = prune(_block_set(src_words), _block_set(tgt_words))
+
     check = _MatrixFreeFilter(ns, target)
     accepted = []
     integral = 0
     disc_fail = 0
-    for sigma, swaps in _word_candidates(ns, source, target, sigmas):
+    for sigma, swaps in _word_candidates(src_words, src_basis, tgt_words, sigmas):
         preserves, sign = check.verdict(sigma, swaps)
         if not preserves:
             continue
@@ -498,41 +481,6 @@ def _search_worker(ns, source, target, sigmas):
             matrix=tuple(tuple(int(x) for x in row) for row in mtilde),
             disc_sign=sign,
         ))
-    return accepted, integral, disc_fail
-
-
-def _search_chunk(args):
-    return _search_worker(*args)
-
-
-def search(ns, source, target, jobs=1):
-    """All isometries of NS sending the source configuration to the target
-    one (blockwise, respecting incidence) and the source orthogonal
-    generator to the target one, acting by +-identity on the discriminant
-    group.  Empty result means no such isometry exists.
-
-    jobs > 1 fans the pruned permutations out across processes; results are
-    merged in canonical order, so the outcome does not depend on jobs.
-    """
-    validate_config(ns, source)
-    validate_config(ns, target)
-    bl = block_sets(ns, source)
-    bl_prime = block_sets(ns, target)
-    sigmas = prune(bl, bl_prime)
-
-    if jobs > 1 and len(sigmas) >= 2:
-        from multiprocessing import Pool
-
-        chunks = [sigmas[i::jobs] for i in range(jobs)]
-        with Pool(jobs) as pool:
-            parts = pool.map(
-                _search_chunk,
-                [(ns, source, target, chunk) for chunk in chunks])
-        accepted = [c for part in parts for c in part[0]]
-        integral = sum(part[1] for part in parts)
-        disc_fail = sum(part[2] for part in parts)
-    else:
-        accepted, integral, disc_fail = _search_worker(ns, source, target, sigmas)
 
     accepted.sort(key=lambda c: (c.sigma, c.swaps))
     total = factorial(9) * 2 ** 9

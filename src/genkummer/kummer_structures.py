@@ -12,7 +12,7 @@ one exactly when x0 is not +-1 modulo 2t (respectively 2k).
 """
 
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import lru_cache, partial
 
 from . import pell
 from .ns_lattice import (
@@ -43,26 +43,31 @@ def _pell_modulus(ns):
     return 4 * k, 2 * k
 
 
+@lru_cache(maxsize=1)
+def _fundamental_solution(d):
+    """pell.fundamental_solution, kept for the latest D: deciding one L^2
+    asks for it from several steps."""
+    return pell.fundamental_solution(d)
+
+
 def pell_data(ns):
     """Fundamental Pell solution for the lattice, or raise NoPellSolution."""
     d, _ = _pell_modulus(ns)
     if pell.is_square(d):
         raise NoPellSolution(
             f"x^2 - {d}*y^2 = 1 has no solution (6*L^2 = {6 * ns.L2} is a square)")
-    return pell.fundamental_solution(d)
+    return _fundamental_solution(d)
 
 
-def construct(ns, swap=False, fund=None):
+def construct(ns, swap=False):
     """Build the replacement curve class and the new orthogonal generator.
 
     Returns (b1p, lp) where b1p is the square -2 class with b1p.A_1 = 1
     replacing B_1, and lp generates the orthogonal complement of the new
     configuration {A_1, b1p, A_2, B_2, ..., A_9, B_9}.  With swap=True the
-    roles of A_1 and B_1 are exchanged throughout.  fund is pell_data(ns),
-    solved here when not given.
+    roles of A_1 and B_1 are exchanged throughout.
     """
-    if fund is None:
-        fund = pell_data(ns)
+    fund = pell_data(ns)
     x0, y0 = fund.x0, fund.y0
     if x0 % 2 == 0:
         raise AssertionError("x0 must be odd for these discriminants")
@@ -101,19 +106,17 @@ class HypothesisFlags:
         }
 
 
-def check_hypotheses(ns, fund=None):
+def check_hypotheses(ns):
     """Evaluate the hypotheses guarding irreducibility of the new curve.
 
     The replacement class is known to be an irreducible curve when
     L^2 = 2 mod 6, or L^2 is not 0 mod 18, or 3 divides y0; in the remaining
     case the construction still works after exchanging A_1 and B_1 where
-    necessary, which the swap flag records.  fund is pell_data(ns), solved
-    here when not given.
+    necessary, which the swap flag records.
     """
     if pell.is_square(6 * ns.L2):
         return HypothesisFlags(False, False, False)
-    if fund is None:
-        fund = pell_data(ns)
+    fund = pell_data(ns)
     zero_mod18 = ns.case == CASE_ZERO_MOD18
     irreducible = (ns.case == CASE_TWO_MOD6) or (not zero_mod18) \
         or (fund.y0 % 3 == 0)
@@ -121,26 +124,21 @@ def check_hypotheses(ns, fund=None):
     return HypothesisFlags(True, irreducible, swap)
 
 
-def resolve_swap(ns, flags=None, fund=None):
+def resolve_swap(ns):
     """Pick the side of the A_1/B_1 exchange that actually works.
 
     Outside the flagged case nothing is exchanged.  When L^2 = 0 mod 18 and
     3 does not divide y0, exactly one of the two constructions has an
     orthogonal complement whose roots are the nine A2 blocks of the new
     configuration and nothing more; the other picks up extra roots (the
-    replacement class is reducible there).  The root count decides.  fund
-    is pell_data(ns), solved here when needed and not given.
+    replacement class is reducible there).  The root count decides.
     """
-    if flags is None:
-        flags = check_hypotheses(ns, fund)
-    if not flags.swapped_A1_B1:
+    if not check_hypotheses(ns).swapped_A1_B1:
         return False
-    if fund is None:
-        fund = pell_data(ns)
-    _, lp = construct(ns, swap=False, fund=fund)
+    _, lp = construct(ns, swap=False)
     if len(ns.root_system_of_orthogonal(lp).roots) == 54:
         return False
-    _, lp_swapped = construct(ns, swap=True, fund=fund)
+    _, lp_swapped = construct(ns, swap=True)
     if len(ns.root_system_of_orthogonal(lp_swapped).roots) != 54:
         raise AssertionError("neither exchange side gives a clean complement")
     return True
@@ -161,7 +159,9 @@ class DecisionReport:
     criterion_ok: bool
     criterion_only: bool
     two_structures: bool
-    search_agrees: object = None   # bool once a scan cross-checks the row
+    # bool once a scan cross-checks the row: whether the search finding no
+    # isometry matches criterion_ok
+    search_agrees: object = None
     note: str = ""
 
     def to_json_dict(self):
@@ -192,9 +192,9 @@ def decide(ns):
     """
     _, modulus = _pell_modulus(ns)
     fund = pell_data(ns)
-    flags = check_hypotheses(ns, fund)
-    swapped = resolve_swap(ns, flags, fund)
-    b1p, lp = construct(ns, swap=swapped, fund=fund)
+    flags = check_hypotheses(ns)
+    swapped = resolve_swap(ns)
+    b1p, lp = construct(ns, swap=swapped)
     residue = fund.x0 % modulus
     criterion = residue not in (1 % modulus, (-1) % modulus)
     note = ""
@@ -241,13 +241,13 @@ def _scan_report(L2, with_search):
             two_structures=False,
             note="no-pell-solution",
         )
-    if not with_search or L2 % 18 == 0:
+    if not with_search:
         return report
     from .isometry_search import replacement_config, search, standard_config
 
     result = search(ns, standard_config(ns), replacement_config(ns))
     return replace(report, search_agrees=(
-        (len(result.accepted) == 0) == report.two_structures))
+        (len(result.accepted) == 0) == report.criterion_ok))
 
 
 def scan(L2_min, L2_max, jobs=1, with_search=False):
@@ -255,10 +255,10 @@ def scan(L2_min, L2_max, jobs=1, with_search=False):
 
     Polarizations whose Pell equation is unsolvable get a report with the
     construction fields empty and two_structures False.  with_search runs
-    the isometry search on every other row outside L^2 = 0 mod 18, and
-    search_agrees says whether finding no isometry matches two_structures.
-    jobs > 1 computes the rows across processes; the result does not depend
-    on jobs.
+    the isometry search on every other row, 0 mod 18 included, and
+    search_agrees says whether finding no isometry matches criterion_ok
+    (which equals two_structures outside 0 mod 18).  jobs > 1 computes the
+    rows across processes; the result does not depend on jobs.
     """
     values = admissible_values(L2_min, L2_max)
     row = partial(_scan_report, with_search=with_search)
@@ -278,7 +278,7 @@ def verify_uniqueness(ns, n):
     the fundamental replacement class, so it cannot be an irreducible curve.
     """
     fund = pell_data(ns)
-    b1p, _ = construct(ns, fund=fund)
+    b1p, _ = construct(ns)
     lead_factor = 3 if ns.case == CASE_TWO_MOD6 else 1
     sol = (fund.x0, fund.y0)
     for _ in range(n):

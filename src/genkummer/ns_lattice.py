@@ -403,32 +403,6 @@ class NSModel:
     def class_from_coords(self, y):
         return DivisorClass(tuple(vec_mat(y, self.basis)))
 
-    # -- 3-divisible cosets -------------------------------------------------
-
-    def three_divisible_classes(self):
-        """The 27 cosets of the curve span inside L-perp, with supports.
-
-        Returns a list of (coeffs, representative, support) where coeffs
-        ranges over (Z/3)^3 applied to the three fractional generators and
-        support is the tuple of blocks (1..9) the coset touches.
-        """
-        gens = [fractional_generator(i) for i in (1, 2, 3)]
-        out = []
-        seen = set()
-        for a1 in range(3):
-            for a2 in range(3):
-                for a3 in range(3):
-                    rep = a1 * gens[0] + a2 * gens[1] + a3 * gens[2]
-                    residue = tuple(x % 3 for x in rep.num)
-                    if residue in seen:
-                        raise AssertionError("coset representatives collide")
-                    seen.add(residue)
-                    support = tuple(
-                        j for j in range(1, N_BLOCKS + 1)
-                        if residue[2 * j - 1] or residue[2 * j])
-                    out.append(((a1, a2, a3), rep, support))
-        return out
-
     # -- orthogonal complements and roots -----------------------------------
 
     def orthogonal_sublattice(self, d):

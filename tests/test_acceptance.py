@@ -13,6 +13,7 @@ from genkummer.exact_linalg import det_bareiss
 from genkummer.fm_lattices import build as fm_build
 from genkummer.fm_lattices import transcendental_index
 from genkummer.isometry_search import (
+    _divisibility_words,
     block_sets,
     classify_order,
     compute_aut_d2,
@@ -120,14 +121,17 @@ def test_criterion_6_lattice_fixtures():
     ws = [dual_generator(i) for i in (1, 2, 3)]
     w_gram = [[pairing_of(20, a, b) for b in ws] for a in ws]
     k3 = build_k3()
+    ns20 = build_ns(20)
+    words, _ = _divisibility_words(ns20, standard_config(ns20))
     hist = {0: 0, 6: 0, 9: 0}
-    for _, _, support in build_ns(20).three_divisible_classes():
-        hist[len(support)] += 1
+    for word in words:
+        hist[sum(1 for w in word if w)] += 1
     ok = (t_gram == [[-6, -6, -6], [-6, -10, -6], [-6, -6, -10]]
           and w_gram == [[-2, -2, Fraction(-2, 3)],
                          [-2, Fraction(-20, 3), Fraction(-2, 3)],
                          [Fraction(-2, 3), Fraction(-2, 3), -2]]
           and det_bareiss([list(r) for r in k3.gram]) == 27
+          and len(words) == 27
           and hist == {0: 1, 6: 24, 9: 2})
     _report(6, ok, f"generator Grams exact, det 27, coset histogram {hist}")
 

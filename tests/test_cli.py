@@ -128,3 +128,12 @@ def test_scan_with_search_deterministic_across_jobs(tmp_path):
     rows = list(csv.DictReader(a.read_text().splitlines()))
     assert {row["search_agrees"] for row in rows} <= {"True", ""}
     assert any(row["search_agrees"] == "True" for row in rows)
+
+
+def test_scan_with_search_covers_zero_mod_18(capsys):
+    # criterion-only rows: the search finds no isometry, as criterion_ok says
+    for L2 in ("36", "72"):
+        assert run(["scan", L2, L2, "--with-search"]) == 0
+        row, = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert row["two_structures"] == "False"
+        assert row["search_agrees"] == "True"

@@ -443,3 +443,23 @@ def test_charpoly_and_mat_mul_match_sympy(m, data):
     assert charpoly(m) == [int(c) for c in sympy.Matrix(m).charpoly(x).all_coeffs()]
     want = sympy.Matrix(m) * sympy.Matrix(other)
     assert mat_mul(m, other) == [[int(want[i, j]) for j in range(n)] for i in range(n)]
+
+
+@given(nonsingular_matrices())
+@settings(max_examples=100, deadline=None)
+def test_hnf_and_snf_match_sympy(m):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    n = len(m)
+    sm = sympy.Matrix(m)
+    smith = smith_normal_form(sm, domain=sympy.ZZ)
+    factors, _, _ = snf(m)
+    assert factors == [int(smith[i, i]) for i in range(n)]
+    h, u = hnf(m)
+    assert sympy.Matrix(u) * sm == sympy.Matrix(h)
+    assert abs(sympy.Matrix(u).det()) == 1
+    pivots = 1
+    for i, c in enumerate(hnf_pivots(h)):
+        pivots *= h[i][c]
+    assert pivots == abs(sm.det())

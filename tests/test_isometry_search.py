@@ -2,13 +2,14 @@ from collections import Counter
 
 import pytest
 
-from genkummer import pell
+from genkummer import isometry_search, pell
 from genkummer.exact_linalg import identity_matrix
 from genkummer.isometry_search import (
     BlockDivisibilitySet,
     _MatrixFreeFilter,
     _candidate_matrix,
     _disc_sign,
+    _divisibility_words,
     _word_candidates,
     NotAConfiguration,
     WrongPolarization,
@@ -102,8 +103,10 @@ def test_matrix_free_verdicts_match_the_basis_matrix(L2):
     for target in targets:
         sigmas = prune(block_sets(ns, source), block_sets(ns, target))
         check = _MatrixFreeFilter(ns, target)
+        src_words, src_basis = _divisibility_words(ns, source)
+        tgt_words, _ = _divisibility_words(ns, target)
         verdicts = Counter()
-        for sigma, swaps in _word_candidates(ns, source, target, sigmas):
+        for sigma, swaps in _word_candidates(src_words, src_basis, tgt_words, sigmas):
             mtilde = _candidate_matrix(check.l_target, target, sigma, swaps)
             x_mat = basis_matrix(ns, mtilde)
             want = (False, None) if x_mat is None else (True, _disc_sign(ns, x_mat))
@@ -127,14 +130,22 @@ def test_search_identity_present():
     assert [list(r) for r in ident[0].matrix] == identity_matrix(DIM)
 
 
-def test_search_jobs_deterministic():
-    ns = build_ns(20)
-    src = standard_config(ns)
-    tgt = replacement_config(ns)
-    seq = search(ns, src, tgt)
-    par = search(ns, src, tgt, jobs=3)
-    assert seq == par
-    assert search(ns, src, src, jobs=2).accepted == search(ns, src, src).accepted
+@pytest.mark.parametrize("L2", [20, 36])
+def test_search_builds_each_configuration_once(L2, monkeypatch):
+    # one validation and one set of 3-divisible words per configuration
+    ns = build_ns(L2)
+    source, target = standard_config(ns), replacement_config(ns)
+    calls = Counter()
+    for name in ("validate_config", "_divisibility_words"):
+        fn = getattr(isometry_search, name)
+
+        def counted(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(isometry_search, name, counted)
+    search(ns, source, target)
+    assert calls == {"validate_config": 2, "_divisibility_words": 2}
 
 
 def test_search_twenty_is_empty():

@@ -1,6 +1,6 @@
 import pytest
 
-from genkummer import pell
+from genkummer import kummer_structures, pell
 from genkummer.kummer_structures import (
     pell_data,
     HypothesisViolated,
@@ -122,9 +122,9 @@ def test_new_generator_residue_shape():
         assert all(diff.num[i] == 0 for i in range(3, 19))
 
 
-@pytest.mark.parametrize("L2", [20, 36, 126])
-def test_decide_solves_pell_once(L2, monkeypatch):
-    # 36 also runs the A_1/B_1 exchange, which constructs twice more
+def _count_pell_solves(monkeypatch):
+    """Start from an empty Pell memo and record every solve from now on."""
+    kummer_structures._fundamental_solution.cache_clear()
     calls = []
     solve = pell.fundamental_solution
 
@@ -133,7 +133,23 @@ def test_decide_solves_pell_once(L2, monkeypatch):
         return solve(D)
 
     monkeypatch.setattr(pell, "fundamental_solution", counted)
+    return calls
+
+
+@pytest.mark.parametrize("L2", [20, 36, 126])
+def test_decide_solves_pell_once(L2, monkeypatch):
+    # 36 also runs the A_1/B_1 exchange, which constructs twice more
+    calls = _count_pell_solves(monkeypatch)
     decide(build_ns(L2))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("L2", [20, 36, 72])
+def test_resolve_swap_then_construct_solves_pell_once(L2, monkeypatch):
+    # the library pattern of criterion 7; 36 and 72 carry the exchange flag
+    calls = _count_pell_solves(monkeypatch)
+    ns = build_ns(L2)
+    construct(ns, swap=resolve_swap(ns))
     assert len(calls) == 1
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from genkummer.exact_linalg import det_bareiss
+from genkummer.isometry_search import _divisibility_words, standard_config
 from genkummer.ns_lattice import (
     CASE_SIX_MOD18,
     CASE_TWELVE_MOD18,
@@ -220,30 +221,50 @@ def test_uv_decompose_inverts(coeffs, L2):
 # 3-divisible cosets
 
 
+def _divisible_words(ns):
+    words, _ = _divisibility_words(ns, standard_config(ns))
+    return words
+
+
+def _word_class(word):
+    """The class (1/3) sum_j w_j (A_j - B_j)."""
+    num = [0] * 19
+    for j, w in enumerate(word, start=1):
+        num[2 * j - 1], num[2 * j] = w, -w
+    return DivisorClass(tuple(num))
+
+
+def _word_support(word):
+    return {j for j, w in enumerate(word, start=1) if w}
+
+
 def test_three_divisible_histogram():
-    ns = build_ns(20)
-    cosets = ns.three_divisible_classes()
-    assert len(cosets) == 27
-    hist = Counter(len(support) for _, _, support in cosets)
+    words = _divisible_words(build_ns(20))
+    assert len(words) == 27 == len(set(words))
+    hist = Counter(len(_word_support(w)) for w in words)
     assert hist == {0: 1, 6: 24, 9: 2}
 
 
 def test_three_divisible_known_supports():
-    ns = build_ns(20)
-    cosets = {coeffs: support for coeffs, _, support in
-              ns.three_divisible_classes()}
-    assert cosets[(1, 0, 0)] == tuple(range(1, 10))
-    assert cosets[(0, 1, 0)] == (2, 3, 6, 7, 8, 9)
-    assert cosets[(0, 0, 1)] == (4, 5, 6, 7, 8, 9)
+    words = set(_divisible_words(build_ns(20)))
+    supports = []
+    for i in (1, 2, 3):
+        t = fractional_generator(i)
+        word = tuple(t.num[2 * j - 1] % 3 for j in range(1, 10))
+        assert word in words and _word_class(word).num == t.num
+        supports.append(_word_support(word))
+    assert supports == [set(range(1, 10)), {2, 3, 6, 7, 8, 9}, {4, 5, 6, 7, 8, 9}]
 
 
 def test_fractional_coefficient_counts():
     # any nonzero coset has 12 or 18 curve coefficients off the integers
     ns = build_ns(20)
-    for coeffs, rep, support in ns.three_divisible_classes():
+    for word in _divisible_words(ns):
+        rep = _word_class(word)
+        assert ns.contains(rep)
         frac = sum(1 for i in range(1, 19) if rep.num[i] % 3)
         assert frac in (0, 12, 18)
-        assert frac == 2 * len(support)
+        assert frac == 2 * len(_word_support(word))
 
 
 def test_fractional_polarization_coefficient_bounds():
