@@ -1,7 +1,8 @@
 """Command-line interface producing deterministic JSON/CSV reports.
 
 Exit codes: 0 success, 1 usage or invalid input, 2 domain failure (such as
-an unsolvable Pell equation).  Large integers are serialized as decimal
+an unsolvable Pell equation), 3 internal error (a failed invariant or any
+other exception of the library).  Large integers are serialized as decimal
 strings; identical inputs produce byte-identical output regardless of the
 parallelism degree.
 """
@@ -28,6 +29,7 @@ from .ns_lattice import InvalidPolarization, build_ns
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DOMAIN = 2
+EXIT_INTERNAL = 3
 
 SCAN_COLUMNS = ("L2", "case", "x0", "y0", "modulus", "residue",
                 "two_structures", "search_agrees")
@@ -256,12 +258,15 @@ def run(argv=None):
         args.format = "csv" if args.command == "scan" else "json"
     try:
         return args.func(args)
-    except (InvalidPolarization, ValueError) as exc:
-        if isinstance(exc, NoPellSolution):
-            sys.stderr.write(f"error: {exc}\n")
-            return EXIT_DOMAIN
+    except InvalidPolarization as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except NoPellSolution as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_DOMAIN
+    except (ValueError, AssertionError) as exc:
+        sys.stderr.write(f"error: internal: {exc}\n")
+        return EXIT_INTERNAL
 
 
 def main(argv=None):

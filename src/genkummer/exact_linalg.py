@@ -2,12 +2,12 @@
 characteristic polynomial and multiplicative order of integer matrices.
 
 Matrices are plain lists of rows; entries are Python ints (arbitrary
-precision) or fractions.Fraction.  Nothing here ever touches a float:
-every bound used by the short-vector search is rounded conservatively
-and every candidate is verified with exact arithmetic.
+precision) or, in the generic helpers, fractions from the caller.  Nothing
+here ever touches a float.  The short-vector layer is integer only: LLL and
+Fincke-Pohst read one fraction-free LDL decomposition, every bound of the
+enumeration is an exact integer, and every division is exact.
 """
 
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
 
@@ -346,76 +346,79 @@ def snf(mat):
 # short-vector enumeration (exact Fincke-Pohst)
 
 
+def _ldl_integral(a):
+    """Fraction-free LDL data of a positive definite integer matrix.
+
+    Bareiss elimination without pivoting.  Returns (d, u): d[i] is the
+    leading i x i principal minor (d[0] = 1, d[n] = det a), and row i of u
+    is zero left of the diagonal, u[i][i] = d[i + 1] and u[i][j] for j > i is
+    the minor on rows 0..i and columns 0..i-1, j.  Every entry is an integer
+    and q(v) = sum_i (sum_{j >= i} u[i][j] * v[j])^2 / (d[i] * d[i + 1]).
+    Raises IndefiniteForm when a minor is not positive.
+    """
+    n = len(a)
+    u = [[0] * i + list(row[i:]) for i, row in enumerate(a)]
+    d = [1]
+    for i, ui in enumerate(u):
+        p = ui[i]
+        if p <= 0:
+            raise IndefiniteForm("form is not positive definite")
+        for r in range(i + 1, n):
+            # the trailing block stays symmetric, so u[i][r] stands for u[r][i]
+            f, ur = ui[r], u[r]
+            for j in range(r, n):
+                ur[j] = (ur[j] * p - f * ui[j]) // d[i]
+        d.append(p)
+    return d, u
+
+
 def _lll_reduce_gram(a):
-    """Exact LLL reduction (delta = 3/4) of a positive definite Gram matrix.
+    """Integral LLL reduction (delta = 3/4) of a positive definite Gram matrix.
 
     Returns (reduced, U) with reduced = U * a * U^T, U unimodular; raises
-    IndefiniteForm when a form of size two or more is not positive definite
-    (the enumeration's LDL step rejects a 1 x 1 one).  Bad bases straight
-    out of an HNF kernel would otherwise blow the enumeration tree up by
-    many orders of magnitude.  All Gram-Schmidt data is kept as exact
-    fractions; the enumeration does not depend on the reduction quality for
-    correctness, so the loop simply stops early if the step budget runs out.
+    IndefiniteForm when a is not positive definite.  Bad bases straight out
+    of an HNF kernel would otherwise blow the enumeration tree up by many
+    orders of magnitude.  De Weger's variant (Cohen, A Course in Computational
+    Algebraic Number Theory, Alg. 2.6.7) keeps the integers d and
+    lam[j][k] = d[j + 1] * mu[k][j] of _ldl_integral; every division in its
+    updates is exact.  Each swap multiplies the positive integer
+    d[1] * ... * d[n] by less than 3/4, so the loop needs no step budget.
     """
     n = len(a)
     g = [row[:] for row in a]
     h = identity_matrix(n)
-    if n <= 1:
-        return g, h
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    b = [Fraction(0)] * n
-
-    def gs_row(k):
-        for j in range(k):
-            t = Fraction(g[k][j])
-            for i in range(j):
-                t -= mu[j][i] * mu[k][i] * b[i]
-            mu[k][j] = t / b[j]
-        t = Fraction(g[k][k])
-        for i in range(k):
-            t -= mu[k][i] * mu[k][i] * b[i]
-        if t <= 0:
-            raise IndefiniteForm("form is not positive definite")
-        b[k] = t
-
-    for k in range(n):
-        gs_row(k)
+    d, lam = _ldl_integral(a)
 
     def size_reduce(k, l):
-        if 2 * abs(mu[k][l]) <= 1:
+        if 2 * abs(lam[l][k]) <= d[l + 1]:
             return
-        q = (2 * mu[k][l] + 1).__floor__() // 2
+        # q = floor(mu + 1/2) for mu = lam[l][k] / d[l + 1]
+        q = (2 * lam[l][k] + d[l + 1]) // (2 * d[l + 1])
         h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-        for j in range(n):
-            g[k][j] -= q * g[l][j]
+        g[k] = [x - q * y for x, y in zip(g[k], g[l])]
         for j in range(n):
             g[j][k] -= q * g[j][l]
-        mu[k][l] -= q
+        lam[l][k] -= q * d[l + 1]
         for i in range(l):
-            mu[k][i] -= q * mu[l][i]
+            lam[i][k] -= q * lam[i][l]
 
-    delta = Fraction(3, 4)
     k = 1
-    budget = 20000 * n * n
-    while k < n and budget:
-        budget -= 1
+    while k < n:
         size_reduce(k, k - 1)
-        if b[k] < (delta - mu[k][k - 1] ** 2) * b[k - 1]:
-            m = mu[k][k - 1]
-            b_new = b[k] + m * m * b[k - 1]
+        m = lam[k - 1][k]
+        if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * m * m:
             h[k], h[k - 1] = h[k - 1], h[k]
             g[k], g[k - 1] = g[k - 1], g[k]
             for row in g:
                 row[k], row[k - 1] = row[k - 1], row[k]
             for j in range(k - 1):
-                mu[k][j], mu[k - 1][j] = mu[k - 1][j], mu[k][j]
-            mu[k][k - 1] = m * b[k - 1] / b_new
-            b[k] = b[k - 1] * b[k] / b_new
-            b[k - 1] = b_new
+                lam[j][k], lam[j][k - 1] = lam[j][k - 1], lam[j][k]
+            b = (d[k - 1] * d[k + 1] + m * m) // d[k]
             for i in range(k + 1, n):
-                t = mu[i][k]
-                mu[i][k] = mu[i][k - 1] - m * t
-                mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+                t = lam[k][i]
+                lam[k][i] = (d[k + 1] * lam[k - 1][i] - m * t) // d[k]
+                lam[k - 1][i] = (b * t + m * lam[k][i]) // d[k + 1]
+            d[k] = b
             k = max(k - 1, 1)
         else:
             for l in range(k - 2, -1, -1):
@@ -426,65 +429,37 @@ def _lll_reduce_gram(a):
     return g, h
 
 
-def _cholesky_exact(a):
-    """Exact LDL decomposition data for a positive definite matrix.
+def _enumerate_pos_def(a, target):
+    """Yield every integer v (including both signs) with v^T a v = target.
 
-    Returns (d, r) with q(v) = sum_i d[i] * (v[i] + sum_{j>i} r[i][j]*v[j])^2.
-    Raises IndefiniteForm when a pivot fails to be positive.
+    Coordinate i spends x_i^2 / (d[i] * d[i + 1]) of the target, where
+    x_i = sum_{j >= i} u[i][j] * v[j] (see _ldl_integral).  Level i carries
+    s = d[i + 1] times the budget left for coordinates 0..i, an integer since
+    d[i + 1] times a Schur complement of a is integral.  The bound
+    |x_i| <= isqrt(s * d[i]) is exact, as is (s * d[i] - x_i^2) // d[i + 1].
     """
     n = len(a)
-    r = [[Fraction(x) for x in row] for row in a]
-    d = [Fraction(0)] * n
-    for i in range(n):
-        di = r[i][i]
-        if di <= 0:
-            raise IndefiniteForm("form is not positive definite")
-        d[i] = di
-        for j in range(i + 1, n):
-            t = r[i][j] / di
-            for k in range(j, n):
-                r[j][k] -= t * r[i][k]
-            r[i][j] = t
-    return d, r
-
-
-def _floor_sqrt_frac(x):
-    """floor(sqrt(x)) for a nonnegative Fraction x."""
-    return isqrt(x.numerator // x.denominator)
-
-
-def _enumerate_pos_def(a, target):
-    """Yield every integer v (including both signs) with v^T a v = target."""
-    n = len(a)
-    d, r = _cholesky_exact(a)
-    target = Fraction(target)
+    d, u = _ldl_integral(a)
     v = [0] * n
 
-    def rec(i, budget):
+    def rec(i, s):
         if i < 0:
-            if budget == 0:
+            if s == 0:
                 yield tuple(v)
             return
-        c = Fraction(0)
-        ri = r[i]
+        ui, p = u[i], d[i + 1]
+        c = 0
         for j in range(i + 1, n):
             if v[j]:
-                c += ri[j] * v[j]
-        # d[i]*(v_i + c)^2 <= budget; bound rounded up, candidates checked exactly
-        s = _floor_sqrt_frac(budget / d[i]) + 1
-        lo = -c - s
-        first = lo.numerator // lo.denominator
-        for vi in range(first, first + 2 * s + 2):
-            term = d[i] * (vi + c) ** 2
-            if term > budget:
-                if vi + c > 0:
-                    break
-                continue
+                c += ui[j] * v[j]
+        r = isqrt(s * d[i])
+        for vi in range(-((r + c) // p), (r - c) // p + 1):
+            x = p * vi + c
             v[i] = vi
-            yield from rec(i - 1, budget - term)
+            yield from rec(i - 1, (s * d[i] - x * x) // p)
         v[i] = 0
 
-    yield from rec(n - 1, target)
+    yield from rec(n - 1, d[n] * target)
 
 
 def _canonical_pairs(vectors):

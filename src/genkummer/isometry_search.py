@@ -7,23 +7,23 @@ block (send A_k to either member of target block sigma(k)); together with
 "orthogonal generator goes to orthogonal generator" this pins down a linear
 map on the whole rank-19 lattice.  Of the 9! * 2^9 = 185,794,560 candidates,
 almost all die on the 3-divisibility block supports (the prune), and the
-surviving permutations admit at most two swap masks compatible with the
-fully-supported 3-divisible class.  Every (permutation, mask) pair that also
-maps the 3-divisible words onto the target's (864 of them for L^2 = 8: 432
-permutations times two masks) is tested without building its matrix.  NS
-lies between M0 = Z*L + <curves> and (1/3)*M0, and the map sends L and the
-curves into NS, so it preserves NS exactly when it keeps the glue generators
-t_1, t_2, t_3 (and the gluing class when L^2 = 0 mod 6) in NS: a GF(3) test
-on their images.  The +-identity action on the discriminant group is then
-read off the images of the discriminant generators' lifts.  A 19 x 19 matrix
-is built only for the candidates that pass both tests (18 of the 864 for
-L^2 = 8), and the reference matrix path (basis coordinates from the shared
-HNF solver) re-checks each of them.  Preservation of ample classes holds
-automatically for maps of this shape and is not re-tested per candidate.
+surviving permutations admit two swap masks, one per fully-supported
+3-divisible word of the target.  Each (permutation, mask) pair (864 of them
+for L^2 = 8: 432 permutations times two masks) is tested without building
+its matrix.  NS lies between M0 = Z*L + <curves> and (1/3)*M0, and the map
+sends L and the curves into NS, so it preserves NS exactly when it keeps the
+glue generators t_1, t_2, t_3 (and the gluing class when L^2 = 0 mod 6) in
+NS: a GF(3) test on their images.  The +-identity action on the
+discriminant group is then read off the images of the discriminant
+generators' lifts.  A 19 x 19 matrix is built only for the candidates that
+pass both tests (18 of the 864 for L^2 = 8), and the reference matrix path
+(basis coordinates from the shared HNF solver) re-checks each of them.
+Preservation of ample classes holds automatically for maps of this shape and
+is not re-tested per candidate.
 
 A search is one pass in one process: it validates each configuration and
 builds its 3-divisible words once, and the block supports, the prune and
-the word test all read those words.
+the swap masks all read those words.
 """
 
 from dataclasses import dataclass
@@ -148,7 +148,7 @@ def _divisibility_words(ns, config):
                 words.add(w)
     if len(words) != 27:
         raise NotAConfiguration("expected 27 distinct 3-divisible words")
-    return sorted(words), basis
+    return sorted(words)
 
 
 def _support(word):
@@ -181,7 +181,7 @@ def _block_set(words):
 def block_sets(ns, config):
     """Six-block supports of the 3-divisible classes of a configuration."""
     validate_config(ns, config)
-    return _block_set(_divisibility_words(ns, config)[0])
+    return _block_set(_divisibility_words(ns, config))
 
 
 # ---------------------------------------------------------------------------
@@ -399,7 +399,7 @@ class SearchResult:
     preserve NS but act on the discriminant group by neither sign, and
     "accepted" the rest of the NS-preserving maps.  "non_integral" counts
     every other candidate: the maps that do not preserve NS, and also the
-    swap masks rejected by the 3-divisible word test before any map is
+    swap masks that the fully-supported words rule out before any map is
     tested.
     """
 
@@ -415,11 +415,13 @@ class SearchResult:
         }
 
 
-def _word_candidates(src_words, src_basis, tgt_words, sigmas):
-    """The (sigma, swaps) pairs over the given permutations that map the
-    3-divisible words of the source (with their GF(3) basis) onto those of
-    the target."""
-    tgt_set = set(tgt_words)
+def _word_candidates(src_words, tgt_words, sigmas):
+    """The (sigma, swaps) pairs over the given permutations whose swap mask
+    sends a fully supported source word to a fully supported target word.
+
+    The other 3-divisible words need no test here: a map that preserves NS
+    sends them to words, and the glue-generator test rejects any map that
+    does not preserve NS."""
     src_nine = [w for w in src_words if len(_support(w)) == 9]
     tgt_nine = [w for w in tgt_words if len(_support(w)) == 9]
     if len(src_nine) != 2 or len(tgt_nine) != 2:
@@ -428,21 +430,10 @@ def _word_candidates(src_words, src_basis, tgt_words, sigmas):
     c9 = src_nine[0]
     for sigma in sigmas:
         for w9 in tgt_nine:
-            # the fully supported word pins the swap mask up to this choice
-            eps = tuple((w9[sigma[j] - 1] * c9[j]) % 3 for j in range(N_BLOCKS))
-            if any(e == 0 for e in eps):
-                continue
-            ok = True
-            for word in src_basis:
-                moved = [0] * N_BLOCKS
-                for j in range(N_BLOCKS):
-                    if word[j]:
-                        moved[sigma[j] - 1] = (word[j] * eps[j]) % 3
-                if tuple(moved) not in tgt_set:
-                    ok = False
-                    break
-            if ok:
-                yield sigma, tuple(e == 2 for e in eps)
+            # the fully supported word pins the swap mask up to this choice;
+            # its entries are nonzero, so each product is 1 or 2 mod 3
+            yield sigma, tuple((w9[sigma[j] - 1] * c9[j]) % 3 == 2
+                               for j in range(N_BLOCKS))
 
 
 def search(ns, source, target):
@@ -453,15 +444,15 @@ def search(ns, source, target):
     """
     validate_config(ns, source)
     validate_config(ns, target)
-    src_words, src_basis = _divisibility_words(ns, source)
-    tgt_words, _ = _divisibility_words(ns, target)
+    src_words = _divisibility_words(ns, source)
+    tgt_words = _divisibility_words(ns, target)
     sigmas = prune(_block_set(src_words), _block_set(tgt_words))
 
     check = _MatrixFreeFilter(ns, target)
     accepted = []
     integral = 0
     disc_fail = 0
-    for sigma, swaps in _word_candidates(src_words, src_basis, tgt_words, sigmas):
+    for sigma, swaps in _word_candidates(src_words, tgt_words, sigmas):
         preserves, sign = check.verdict(sigma, swaps)
         if not preserves:
             continue

@@ -48,11 +48,6 @@ def _report(number, ok, text):
     assert ok, f"criterion {number} failed: {text}"
 
 
-def _searchable_values(lo, hi):
-    return [v for v in admissible_values(lo, hi)
-            if not pell.is_square(6 * v) and v % 18 != 0]
-
-
 def test_criterion_1_published_list():
     positives = [r.L2 for r in scan(8, 198) if r.two_structures]
     _report(1, positives == PUBLISHED,
@@ -60,15 +55,21 @@ def test_criterion_1_published_list():
 
 
 def test_criterion_2_search_criterion_equivalence():
+    # every admissible L^2 < 200 with a Pell solution: the search finds no
+    # isometry exactly for the published list, and on 0 mod 18 (where the
+    # list asserts nothing) exactly when the residue criterion holds
     mismatches = []
-    values = _searchable_values(2, 199)
+    values = [v for v in admissible_values(2, 199) if not pell.is_square(6 * v)]
     for L2 in values:
         ns = build_ns(L2)
         result = search(ns, standard_config(ns), replacement_config(ns))
-        if bool(result.accepted) != (L2 not in PUBLISHED):
+        empty = decide(ns).criterion_ok if L2 % 18 == 0 else L2 in PUBLISHED
+        if (not result.accepted) != empty:
             mismatches.append(L2)
-    _report(2, not mismatches,
-            f"search nonempty iff not in list, {len(values)} cases, "
+    zero_mod_18 = sum(1 for v in values if v % 18 == 0)
+    _report(2, not mismatches and zero_mod_18 == 10,
+            f"search empty iff in list (iff criterion_ok on 0 mod 18), "
+            f"{len(values)} cases ({zero_mod_18} are 0 mod 18), "
             f"mismatches = {mismatches}")
 
 
@@ -122,7 +123,7 @@ def test_criterion_6_lattice_fixtures():
     w_gram = [[pairing_of(20, a, b) for b in ws] for a in ws]
     k3 = build_k3()
     ns20 = build_ns(20)
-    words, _ = _divisibility_words(ns20, standard_config(ns20))
+    words = _divisibility_words(ns20, standard_config(ns20))
     hist = {0: 0, 6: 0, 9: 0}
     for word in words:
         hist[sum(1 for w in word if w)] += 1

@@ -1,7 +1,13 @@
 import csv
 import json
 
+import pytest
+
+from genkummer import cli
 from genkummer.cli import run
+from genkummer.exact_linalg import IndefiniteForm, SingularMatrix
+from genkummer.isometry_search import NotAConfiguration
+from genkummer.pell import InvalidSolution
 
 
 def _json_out(capsys):
@@ -137,3 +143,22 @@ def test_scan_with_search_covers_zero_mod_18(capsys):
         row, = csv.DictReader(capsys.readouterr().out.splitlines())
         assert row["two_structures"] == "False"
         assert row["search_agrees"] == "True"
+
+
+@pytest.mark.parametrize("exc", [
+    IndefiniteForm("form is not positive definite"),
+    SingularMatrix("snf expects a nonsingular matrix"),
+    NotAConfiguration("expected exactly 12 six-block supports"),
+    InvalidSolution("fundamental solution fails the Pell equation"),
+    AssertionError("reduction transform lost the Gram matrix"),
+])
+def test_internal_errors_exit_three(exc, capsys, monkeypatch):
+    # a broken invariant must not share an exit code with bad user input
+    def fail(ns):
+        raise exc
+
+    monkeypatch.setattr(cli, "decide", fail)
+    assert run(["decide", "20"]) == cli.EXIT_INTERNAL == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal: {exc}\n"

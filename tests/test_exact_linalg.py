@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -8,6 +9,8 @@ from genkummer.exact_linalg import (
     IndefiniteForm,
     NoSolution,
     SingularMatrix,
+    _ldl_integral,
+    _lll_reduce_gram,
     charpoly,
     det_bareiss,
     enumerate_norm_vectors,
@@ -21,6 +24,7 @@ from genkummer.exact_linalg import (
     identity_matrix,
     snf,
     solve_integral,
+    transpose,
 )
 from genkummer.ns_lattice import L_class, build_k3, build_ns, fractional_generator
 
@@ -382,6 +386,76 @@ def test_enumerate_rank6_known_root_counts(data):
     for v in vs:
         assert tuple(-x for x in v) in vs
         assert _quad(g, v) == -2
+
+
+# ---------------------------------------------------------------------------
+# integral LDL and LLL
+
+
+@st.composite
+def positive_definite_forms(draw):
+    """Gram matrices m * m^T of nonsingular integer matrices m."""
+    n = draw(st.integers(1, 6))
+    m = [[draw(st.integers(-6, 6)) for _ in range(n)] for _ in range(n)]
+    assume(det_bareiss(m) != 0)
+    return mat_mul(m, transpose(m))
+
+
+@given(positive_definite_forms(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_ldl_integral_minors_and_form(a, data):
+    n = len(a)
+    d, u = _ldl_integral(a)
+    assert d == [det_bareiss([row[:i] for row in a[:i]]) for i in range(n + 1)]
+    for i in range(n):
+        assert u[i][:i] == [0] * i and u[i][i] == d[i + 1]
+    v = data.draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    q = sum(Fraction(sum(u[i][j] * v[j] for j in range(i, n)) ** 2,
+                     d[i] * d[i + 1]) for i in range(n))
+    assert q == _quad(a, v)
+
+
+def test_ldl_integral_rejects_nonpositive_minors():
+    for a in ([[0]], [[-2]], [[1, 2], [2, 1]], [[2, 2], [2, 2]]):
+        with pytest.raises(IndefiniteForm):
+            _ldl_integral(a)
+
+
+def _assert_lll_reduced(a, reduced, u):
+    n = len(a)
+    assert abs(det_bareiss(u)) == 1
+    assert mat_mul(mat_mul(u, a), transpose(u)) == reduced
+    d, lam = _ldl_integral(reduced)
+    for k in range(n):
+        for j in range(k):
+            assert 2 * abs(lam[j][k]) <= d[j + 1]
+    for k in range(1, n):
+        # Lovasz condition with delta = 3/4, cleared of denominators
+        assert 4 * d[k + 1] * d[k - 1] >= 3 * d[k] ** 2 - 4 * lam[k - 1][k] ** 2
+
+
+@given(positive_definite_forms())
+@settings(max_examples=150, deadline=None)
+def test_lll_reduce_gram_is_unimodular_and_reduced(a):
+    reduced, u = _lll_reduce_gram(a)
+    _assert_lll_reduced(a, reduced, u)
+
+
+def test_lll_reduces_a_badly_skewed_form():
+    # A_8 conjugated by large transvections: the reduction terminates (there
+    # is no step budget), is LLL-reduced, and the 72 roots survive
+    a = [[-x for x in row] for row in _negated_cartan_a(8)]
+    for i, j, c in [(0, 7, 10 ** 9), (7, 1, -(10 ** 8)), (3, 5, 10 ** 9),
+                    (1, 6, 77777777), (5, 0, -(10 ** 9)), (6, 2, 10 ** 7)]:
+        for k in range(8):
+            a[k][j] += c * a[k][i]
+        for k in range(8):
+            a[j][k] += c * a[i][k]
+    assert max(abs(x) for row in a for x in row) > 10 ** 30
+    reduced, u = _lll_reduce_gram(a)
+    _assert_lll_reduced(a, reduced, u)
+    assert max(abs(x) for row in reduced for x in row) <= 2
+    assert len(enumerate_norm_vectors([[-x for x in row] for row in a], -2)) == 72
 
 
 # ---------------------------------------------------------------------------

@@ -103,10 +103,10 @@ def test_matrix_free_verdicts_match_the_basis_matrix(L2):
     for target in targets:
         sigmas = prune(block_sets(ns, source), block_sets(ns, target))
         check = _MatrixFreeFilter(ns, target)
-        src_words, src_basis = _divisibility_words(ns, source)
-        tgt_words, _ = _divisibility_words(ns, target)
+        src_words = _divisibility_words(ns, source)
+        tgt_words = _divisibility_words(ns, target)
         verdicts = Counter()
-        for sigma, swaps in _word_candidates(src_words, src_basis, tgt_words, sigmas):
+        for sigma, swaps in _word_candidates(src_words, tgt_words, sigmas):
             mtilde = _candidate_matrix(check.l_target, target, sigma, swaps)
             x_mat = basis_matrix(ns, mtilde)
             want = (False, None) if x_mat is None else (True, _disc_sign(ns, x_mat))

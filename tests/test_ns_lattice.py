@@ -222,8 +222,7 @@ def test_uv_decompose_inverts(coeffs, L2):
 
 
 def _divisible_words(ns):
-    words, _ = _divisibility_words(ns, standard_config(ns))
-    return words
+    return _divisibility_words(ns, standard_config(ns))
 
 
 def _word_class(word):
