@@ -18,13 +18,16 @@ CASES = {
     "pell_120.json": ["pell", "120"],
     "ns_24.json": ["ns", "24"],
     "decide_20.json": ["decide", "20"],
+    "decide_36.json": ["decide", "36"],
     "decide_44.json": ["decide", "44"],
+    "decide_72.json": ["decide", "72"],
     "decide_126.json": ["decide", "126"],
     "scan_8_198.csv": ["scan", "8", "198"],
     "scan_8_198.json": ["scan", "8", "198", "--format", "json"],
     "search_8.json": ["search", "8"],
     "search_20.json": ["search", "20"],
     "search_42.json": ["search", "42"],
+    "search_72.json": ["search", "72"],
     "aut20.json": ["aut20"],
     "fm_1_1_1_1.json": ["fm", "1", "1", "1", "1"],
 }
