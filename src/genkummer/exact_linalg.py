@@ -20,10 +20,6 @@ class IndefiniteForm(ValueError):
     """Raised when a quadratic form is not definite of the expected sign."""
 
 
-class NoSolution(ValueError):
-    """Raised when an integral linear system has no integer solution."""
-
-
 # ---------------------------------------------------------------------------
 # basic matrix helpers
 
@@ -155,24 +151,6 @@ def solve_hnf(h, pivots, b):
     if any(rem):
         return None
     return y
-
-
-def solve_integral(mat, b):
-    """Solve x * mat = b over the integers.
-
-    Raises NoSolution when b is not in the row lattice of mat.
-    """
-    h, u = hnf(mat)
-    pivots = hnf_pivots(h)
-    y = solve_hnf(h, pivots, b)
-    if y is None:
-        raise NoSolution("vector is not in the row lattice")
-    x = [0] * len(mat)
-    for yi, urow in zip(y, u):
-        if yi:
-            for j in range(len(urow)):
-                x[j] += yi * urow[j]
-    return x
 
 
 def kernel_basis(mat):

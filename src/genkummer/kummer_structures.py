@@ -109,39 +109,35 @@ class HypothesisFlags:
 def check_hypotheses(ns):
     """Evaluate the hypotheses guarding irreducibility of the new curve.
 
-    The replacement class is known to be an irreducible curve when
-    L^2 = 2 mod 6, or L^2 is not 0 mod 18, or 3 divides y0; in the remaining
-    case the construction still works after exchanging A_1 and B_1 where
-    necessary, which the swap flag records.
+    The replacement class is known to be an irreducible curve unless
+    L^2 = 0 mod 18 and 3 does not divide y0; in that flagged case the
+    construction still works after exchanging A_1 and B_1 where necessary,
+    which the swap flag records.
     """
     if pell.is_square(6 * ns.L2):
         return HypothesisFlags(False, False, False)
     fund = pell_data(ns)
-    zero_mod18 = ns.case == CASE_ZERO_MOD18
-    irreducible = (ns.case == CASE_TWO_MOD6) or (not zero_mod18) \
-        or (fund.y0 % 3 == 0)
-    swap = zero_mod18 and fund.y0 % 3 != 0
-    return HypothesisFlags(True, irreducible, swap)
+    flagged = ns.case == CASE_ZERO_MOD18 and fund.y0 % 3 != 0
+    return HypothesisFlags(True, not flagged, flagged)
 
 
 def resolve_swap(ns):
     """Pick the side of the A_1/B_1 exchange that actually works.
 
     Outside the flagged case nothing is exchanged.  When L^2 = 0 mod 18 and
-    3 does not divide y0, exactly one of the two constructions has an
-    orthogonal complement whose roots are the nine A2 blocks of the new
-    configuration and nothing more; the other picks up extra roots (the
-    replacement class is reducible there).  The root count decides.
+    3 does not divide y0, the complement of lp is the overlattice of the new
+    9A2 cut out by the configuration's 3-divisible words, and each word on
+    three blocks adds 27 roots (Conway-Sloane, SPLAG ch. 4).  All L^2 = 0
+    mod 18 share one NS basis (the gluing class depends only on L^2 mod 18),
+    and mod 3 the block-1 classes of either side depend only on x0 and y0
+    mod 3.  So the words, and with them the side whose complement has only
+    the 54 roots of the nine blocks, depend only on (x0, y0) mod 3: it is
+    the exchanged side exactly when x0 = y0 mod 3.
     """
     if not check_hypotheses(ns).swapped_A1_B1:
         return False
-    _, lp = construct(ns, swap=False)
-    if len(ns.root_system_of_orthogonal(lp).roots) == 54:
-        return False
-    _, lp_swapped = construct(ns, swap=True)
-    if len(ns.root_system_of_orthogonal(lp_swapped).roots) != 54:
-        raise AssertionError("neither exchange side gives a clean complement")
-    return True
+    fund = pell_data(ns)
+    return (fund.x0 - fund.y0) % 3 == 0
 
 
 @dataclass(frozen=True)
@@ -258,14 +254,15 @@ def scan(L2_min, L2_max, jobs=1, with_search=False):
     the isometry search on every other row, 0 mod 18 included, and
     search_agrees says whether finding no isometry matches criterion_ok
     (which equals two_structures outside 0 mod 18).  jobs > 1 computes the
-    rows across processes; the result does not depend on jobs.
+    rows across processes, at most one per row; the result does not depend
+    on jobs.
     """
     values = admissible_values(L2_min, L2_max)
     row = partial(_scan_report, with_search=with_search)
     if jobs > 1 and len(values) >= 2:
         from multiprocessing import Pool
 
-        with Pool(jobs) as pool:
+        with Pool(min(jobs, len(values))) as pool:
             return pool.map(row, values)
     return [row(L2) for L2 in values]
 

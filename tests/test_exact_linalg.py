@@ -7,7 +7,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from genkummer.exact_linalg import (
     IndefiniteForm,
-    NoSolution,
     SingularMatrix,
     _ldl_integral,
     _lll_reduce_gram,
@@ -23,7 +22,7 @@ from genkummer.exact_linalg import (
     mat_mul,
     identity_matrix,
     snf,
-    solve_integral,
+    solve_hnf,
     transpose,
 )
 from genkummer.ns_lattice import L_class, build_k3, build_ns, fractional_generator
@@ -62,7 +61,7 @@ def test_hnf_ns_generator_matrix():
     assert mat_mul(u, gens) == h
     basis = h[:19]
     for g in gens:
-        x = solve_integral(basis, g)
+        x = solve_hnf(basis, hnf_pivots(basis), g)
         assert [sum(x[i] * basis[i][j] for i in range(19)) for j in range(19)] == g
     # and the rows agree with the lattice's own basis
     assert [list(r) for r in ns.basis] == basis
@@ -147,25 +146,23 @@ def test_snf_divisibility_and_determinant(m):
 # integral solving
 
 
-def test_solve_integral_identity():
-    assert solve_integral(identity_matrix(3), [4, -5, 6]) == [4, -5, 6]
+def test_solve_hnf_identity():
+    assert solve_hnf(identity_matrix(3), [0, 1, 2], [4, -5, 6]) == [4, -5, 6]
 
 
-def test_solve_integral_no_solution():
-    with pytest.raises(NoSolution):
-        solve_integral([[2, 0], [0, 2]], [1, 0])
-    with pytest.raises(NoSolution):
-        solve_integral([[1, 0]], [0, 1])
+def test_solve_hnf_no_solution():
+    assert solve_hnf([[2, 0], [0, 2]], [0, 1], [1, 0]) is None
+    assert solve_hnf([[1, 0]], [0], [0, 1]) is None
 
 
-def test_solve_integral_fractional_generator_membership():
+def test_solve_hnf_fractional_generator_membership():
     # the first fractional generator lies in the span of the curve-block
     # lattice basis by construction
     k3 = build_k3()
     t1 = [0] * 18
     for j in range(0, 18, 2):
         t1[j], t1[j + 1] = 1, -1
-    x = solve_integral([list(r) for r in k3.basis], t1)
+    x = solve_hnf(k3.basis, hnf_pivots(k3.basis), t1)
     assert [sum(x[i] * k3.basis[i][j] for i in range(18)) for j in range(18)] == t1
 
 

@@ -1,6 +1,8 @@
+import multiprocessing
+
 import pytest
 
-from genkummer import kummer_structures, pell
+from genkummer import kummer_structures, ns_lattice, pell
 from genkummer.kummer_structures import (
     pell_data,
     HypothesisViolated,
@@ -14,7 +16,7 @@ from genkummer.kummer_structures import (
     scan,
     verify_uniqueness,
 )
-from genkummer.ns_lattice import L_class, build_ns, curve_a, curve_b
+from genkummer.ns_lattice import NSModel, L_class, build_ns, curve_a, curve_b
 
 PUBLISHED = [20, 44, 68, 84, 92, 104, 110, 116, 120,
              126, 132, 140, 164, 168, 176, 188]
@@ -97,6 +99,71 @@ def test_resolve_swap_picks_the_clean_side():
     assert build_ns(36).pairing(report.b1prime, curve_a(1)) == 1
 
 
+def _no_enumeration(*args, **kwargs):
+    raise AssertionError("lattice enumeration on the decide path")
+
+
+def _forbid_enumeration(monkeypatch):
+    monkeypatch.setattr(NSModel, "root_system_of_orthogonal", _no_enumeration)
+    monkeypatch.setattr(ns_lattice, "enumerate_norm_vectors", _no_enumeration)
+
+
+@pytest.mark.parametrize("bound", [
+    999, pytest.param(10000, marks=pytest.mark.slow)])
+def test_swap_rule_matches_the_root_count(bound, monkeypatch):
+    # the oracle for resolve_swap's closed form: on every flagged L^2 the
+    # chosen side's complement holds only the 54 roots of the nine blocks
+    # and the other side's holds 108; the rule itself enumerates nothing
+    rows = [build_ns(L2) for L2 in range(18, bound + 1, 18)
+            if not pell.is_square(6 * L2)]
+    rows = [ns for ns in rows if check_hypotheses(ns).swapped_A1_B1]
+    assert {ns.basis for ns in rows} == {rows[0].basis}
+    residues = set()
+    for ns in rows:
+        fund = pell_data(ns)
+        residues.add((fund.x0 % 3, fund.y0 % 3))
+        with monkeypatch.context() as m:
+            _forbid_enumeration(m)
+            swap = resolve_swap(ns)
+        counts = [len(ns.root_system_of_orthogonal(construct(ns, swap=s)[1]).roots)
+                  for s in (swap, not swap)]
+        assert counts == [54, 108], ns.L2
+    assert residues == {(1, 1), (1, 2), (2, 1), (2, 2)}
+
+
+def test_decide_and_scan_enumerate_nothing(monkeypatch):
+    _forbid_enumeration(monkeypatch)
+    positives = [r.L2 for r in scan(8, 198) if r.two_structures]
+    assert positives == PUBLISHED
+    report = decide(build_ns(72))
+    assert report.note == "criterion-only; roles exchanged"
+
+
+def test_scan_pool_is_bounded_by_the_rows(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        """Records its size and maps in-process."""
+
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return [fn(v) for v in values]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    rows = scan(8, 20, jobs=100000)
+    assert [r.L2 for r in rows] == [8, 12, 14, 18, 20]
+    assert scan(8, 198, jobs=3) == scan(8, 198)
+    assert sizes == [5, 3]
+
+
 def test_replacement_shares_a_block_with_a1():
     # in the complement of the new generator, the component through A_1
     # pairs it with the replacement class
@@ -138,7 +205,7 @@ def _count_pell_solves(monkeypatch):
 
 @pytest.mark.parametrize("L2", [20, 36, 126])
 def test_decide_solves_pell_once(L2, monkeypatch):
-    # 36 also runs the A_1/B_1 exchange, which constructs twice more
+    # 36 also resolves the A_1/B_1 exchange
     calls = _count_pell_solves(monkeypatch)
     decide(build_ns(L2))
     assert len(calls) == 1
