@@ -16,7 +16,10 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = {
     "pell_120.json": ["pell", "120"],
+    "ns_20.json": ["ns", "20"],
     "ns_24.json": ["ns", "24"],
+    "ns_30.json": ["ns", "30"],
+    "ns_36.json": ["ns", "36"],
     "decide_20.json": ["decide", "20"],
     "decide_36.json": ["decide", "36"],
     "decide_44.json": ["decide", "44"],
@@ -27,6 +30,7 @@ CASES = {
     "search_8.json": ["search", "8"],
     "search_20.json": ["search", "20"],
     "search_42.json": ["search", "42"],
+    "search_48.json": ["search", "48"],
     "search_72.json": ["search", "72"],
     "aut20.json": ["aut20"],
     "fm_1_1_1_1.json": ["fm", "1", "1", "1", "1"],
