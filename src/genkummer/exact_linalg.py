@@ -254,12 +254,11 @@ def snf(mat):
 
     Returns (factors, U, V) with U*mat*V diagonal, diagonal entries positive
     and forming a divisibility chain d1 | d2 | ... ; U, V unimodular.
+    Raises SingularMatrix on singular input (a trailing block vanishes).
     """
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise ValueError("snf expects a square matrix")
-    if det_bareiss(mat) == 0:
-        raise SingularMatrix("snf expects a nonsingular matrix")
     a = copy_matrix(mat)
     u = identity_matrix(n)
     v = identity_matrix(n)
@@ -283,6 +282,8 @@ def snf(mat):
                     x = a[i][j]
                     if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
                         best = (i, j)
+            if best is None:
+                raise SingularMatrix("snf expects a nonsingular matrix")
             bi, bj = best
             if bi != k:
                 a[k], a[bi] = a[bi], a[k]
@@ -541,20 +542,15 @@ def _small_totients(n):
                  if (phi := _totient(d)) <= n)
 
 
-_CYCLOTOMIC_CACHE = {}
-
-
+@lru_cache(maxsize=None)
 def _cyclotomic(d):
     """Coefficients of the d-th cyclotomic polynomial, descending powers."""
-    if d in _CYCLOTOMIC_CACHE:
-        return _CYCLOTOMIC_CACHE[d]
     poly = [1] + [0] * (d - 1) + [-1]
     for e in range(1, d):
         if d % e == 0:
             poly = _poly_div_exact(poly, _cyclotomic(e))
             if poly is None:
                 raise AssertionError("cyclotomic division must be exact")
-    _CYCLOTOMIC_CACHE[d] = poly
     return poly
 
 

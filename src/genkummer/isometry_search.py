@@ -441,7 +441,13 @@ def search(ns, source, target):
     one (blockwise, respecting incidence) and the source orthogonal
     generator to the target one, acting by +-identity on the discriminant
     group.  Empty result means no such isometry exists.
+
+    The candidate maps are built on the Q-basis (L, A_1, B_1, ..., A_9,
+    B_9), so the source must be standard_config(ns); any other source
+    raises NotAConfiguration.
     """
+    if tuple(map(tuple, source)) != standard_config(ns):
+        raise NotAConfiguration("the source must be the standard configuration")
     validate_config(ns, source)
     validate_config(ns, target)
     src_words = _divisibility_words(ns, source)
@@ -643,16 +649,8 @@ def compute_aut_d2(ns):
     sigma_index = index[mirror]
 
     def orbit(start):
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for el in elements:
-                w = el.perm[v]
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return tuple(sorted(seen))
+        # the elements are closed under composition, so they are the group
+        return tuple(sorted({el.perm[start] for el in elements}))
 
     structure = _structure_name(elements, table, center, sigma_index)
     return AutD2Group(

@@ -14,6 +14,7 @@ isometry search relies on, so it is part of the wire format.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact_linalg import (
     enumerate_norm_vectors,
@@ -182,20 +183,18 @@ class K3Lattice:
     gram: tuple
 
 
-def _integral_gram(L2, rows):
-    """Gram matrix of numerator rows, asserting every pairing is integral."""
-    gram = []
-    for n in rows:
-        row = []
-        for m in rows:
-            q, r = divmod(pairing_times_nine(L2, n, m), 9)
-            if r:
-                raise AssertionError("non-integral pairing on an integral basis")
-            row.append(q)
-        gram.append(row)
-    return gram
+def _pairings(L2, n, rows):
+    """Intersection numbers of n with each row, asserting each is integral."""
+    out = []
+    for m in rows:
+        q, r = divmod(pairing_times_nine(L2, n, m), 9)
+        if r:
+            raise AssertionError("non-integral pairing on an integral basis")
+        out.append(q)
+    return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def build_k3():
     """Integral basis and Gram matrix of the curve-block lattice."""
     gens = []
@@ -210,18 +209,19 @@ def build_k3():
             row[2 * j - 1] = -c
         gens.append(row)
     h, _ = hnf(gens)
-    basis = h[:18]
+    basis = tuple(tuple(r) for r in h[:18])
     if len(hnf_pivots(h)) != 18:
         raise AssertionError("curve-block lattice must have rank 18")
     # curve coordinates only: prepend a zero L-coefficient
-    gram = _integral_gram(0, [[0] + row for row in basis])
-    factors, _, _ = snf(gram)
+    rows = [(0,) + row for row in basis]
+    gram = tuple(_pairings(0, n, rows) for n in rows)
+    factors, _, _ = snf([list(r) for r in gram])
     det = 1
     for f in factors:
         det *= f
     if det != 27:
         raise AssertionError(f"curve-block lattice has discriminant {det}, not 27")
-    return K3Lattice(tuple(tuple(r) for r in basis), tuple(tuple(r) for r in gram))
+    return K3Lattice(basis, gram)
 
 
 # ---------------------------------------------------------------------------
@@ -313,6 +313,9 @@ def gluing_class(L2):
     return DivisorClass(tuple(num))
 
 
+_GLUED_CASES = {0: CASE_ZERO_MOD18, 6: CASE_SIX_MOD18, 12: CASE_TWELVE_MOD18}
+
+
 class NSModel:
     """Immutable model of the rank-19 Neron-Severi lattice for a given L^2.
 
@@ -329,35 +332,26 @@ class NSModel:
         if L2 % 6 == 2:
             self.case = CASE_TWO_MOD6
             self.gluing = None
-        elif L2 % 18 == 0:
-            self.case = CASE_ZERO_MOD18
-            self.gluing = gluing_class(L2)
-        elif L2 % 18 == 6:
-            self.case = CASE_SIX_MOD18
-            self.gluing = gluing_class(L2)
         else:
-            self.case = CASE_TWELVE_MOD18
+            self.case = _GLUED_CASES[L2 % 18]
             self.gluing = gluing_class(L2)
 
-        gens = [list(L_class().num)]
-        for j in range(1, N_BLOCKS + 1):
-            gens.append(list(curve_a(j).num))
-            gens.append(list(curve_b(j).num))
-        for i in (1, 2, 3):
-            gens.append(list(fractional_generator(i).num))
-        if self.gluing is not None:
-            gens.append(list(self.gluing.num))
-
-        h, _ = hnf(gens)
+        # NS meets L-perp in K, so by uniqueness of the HNF rows 1..18 are
+        # K's basis and only row 0, from L or the gluing class, is reduced
+        k3 = build_k3()
+        extra = L_class() if self.gluing is None else self.gluing
+        h, _ = hnf([list(extra.num)] + [[0] + list(r) for r in k3.basis])
         if len(hnf_pivots(h)) != DIM:
             raise AssertionError("Neron-Severi basis must have rank 19")
-        self.basis = tuple(tuple(r) for r in h[:DIM])
+        self.basis = tuple(tuple(r) for r in h)
 
-        gram = _integral_gram(L2, self.basis)
+        # only row 0 pairs with L, so K's Gram fills the rest
+        top = _pairings(L2, self.basis[0], self.basis)
+        self.gram = (top,) + tuple(
+            (top[i],) + k3.gram[i - 1] for i in range(1, DIM))
         for i in range(DIM):
-            if gram[i][i] % 2:
+            if self.gram[i][i] % 2:
                 raise AssertionError("lattice is not even")
-        self.gram = tuple(tuple(r) for r in gram)
 
         factors, u, _ = snf([list(r) for r in self.gram])
         det = 1

@@ -116,8 +116,9 @@ def test_snf_ns20_gram():
 
 
 def test_snf_singular_rejected():
-    with pytest.raises(SingularMatrix):
-        snf([[1, 2], [2, 4]])
+    for m in ([[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        with pytest.raises(SingularMatrix):
+            snf(m)
 
 
 @st.composite

@@ -130,6 +130,15 @@ def test_search_identity_present():
     assert [list(r) for r in ident[0].matrix] == identity_matrix(DIM)
 
 
+def test_search_rejects_a_nonstandard_source():
+    # the candidate maps are built on the standard basis, so searching from
+    # any other configuration would miss maps such as the identity
+    ns = build_ns(8)
+    rep = replacement_config(ns)
+    with pytest.raises(NotAConfiguration):
+        search(ns, rep, rep)
+
+
 @pytest.mark.parametrize("L2", [20, 36])
 def test_search_builds_each_configuration_once(L2, monkeypatch):
     # one validation and one set of 3-divisible words per configuration

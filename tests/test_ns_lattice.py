@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genkummer.exact_linalg import det_bareiss
+from genkummer.exact_linalg import det_bareiss, hnf
 from genkummer.isometry_search import _divisibility_words, standard_config
 from genkummer.ns_lattice import (
     CASE_SIX_MOD18,
@@ -24,6 +24,7 @@ from genkummer.ns_lattice import (
     fractional_generator,
     gluing_class,
     pairing_of,
+    pairing_times_nine,
     uv_decompose,
     zero_class,
 )
@@ -91,6 +92,35 @@ def test_case_tags_and_determinants():
         assert ns.case == case
         assert det_bareiss([list(r) for r in ns.gram]) == det
         assert len(ns.disc_factors) <= 3
+
+
+def _ns_from_all_generators(L2):
+    """The construction NSModel replaced: the HNF of all 23 generators (L,
+    the 18 curves, t_1..t_3 and the gluing class) and all 361 pairings."""
+    gens = [L_class()]
+    for j in range(1, 10):
+        gens += [curve_a(j), curve_b(j)]
+    gens += [fractional_generator(i) for i in (1, 2, 3)]
+    if L2 % 6 == 0:
+        gens.append(gluing_class(L2))
+    h, _ = hnf([list(c.num) for c in gens])
+    basis = tuple(tuple(r) for r in h[:19])
+    gram = []
+    for n in basis:
+        nine = [pairing_times_nine(L2, n, m) for m in basis]
+        assert all(x % 9 == 0 for x in nine)
+        gram.append(tuple(x // 9 for x in nine))
+    return basis, tuple(gram)
+
+
+@pytest.mark.parametrize("bound", [
+    999, pytest.param(10000, marks=pytest.mark.slow)])
+def test_ns_model_matches_the_generator_hnf(bound):
+    # K plus one row gives the same basis and Gram as all 23 generators
+    for L2 in range(2, bound + 1):
+        if L2 % 6 in (0, 2):
+            ns = build_ns(L2)
+            assert (ns.basis, ns.gram) == _ns_from_all_generators(L2), L2
 
 
 def test_ns20_discriminant_group():
