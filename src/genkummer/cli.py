@@ -1,10 +1,10 @@
 """Command-line interface producing deterministic JSON/CSV reports.
 
-Exit codes: 0 success, 1 usage or invalid input, 2 domain failure (such as
-an unsolvable Pell equation), 3 internal error (a failed invariant or any
-other exception of the library).  Large integers are serialized as decimal
-strings; identical inputs produce byte-identical output regardless of the
-parallelism degree.
+Exit codes: 0 success, 1 usage or invalid input (an unwritable --out too),
+2 domain failure (such as an unsolvable Pell equation), 3 internal error (a
+failed invariant or any other exception of the library).  Large integers
+are serialized as decimal strings; identical inputs produce byte-identical
+output regardless of the parallelism degree.
 """
 
 import argparse
@@ -39,44 +39,48 @@ def _tool_block():
     return {"name": "genkummer", "version": __version__}
 
 
-def _emit(text, out_path):
-    if out_path:
+def _emit(text, out_path, code):
+    """Write the report to out_path (stdout when unset) and return code, or
+    EXIT_USAGE when the file cannot be written."""
+    if not out_path:
+        sys.stdout.write(text)
+        return code
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        sys.stderr.write(f"error: cannot write {out_path}: {exc.strerror}\n")
+        return EXIT_USAGE
+    return code
 
 
-def _json_text(payload):
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit_json(payload, args, code=EXIT_OK):
+    """Write payload, with the tool block added, as the JSON report."""
+    payload["tool"] = _tool_block()
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    return _emit(text, args.out, code)
+
+
+def _emit_no_pell(ns, exc, args):
+    """The report of an L^2 whose Pell equation has no solution."""
+    return _emit_json({"L2": ns.L2, "case": ns.case, "error": str(exc)}, args,
+                      EXIT_DOMAIN)
 
 
 def cmd_pell(args):
     try:
         fund = pell.fundamental_solution(args.D)
     except pell.NoSolution:
-        _emit(_json_text({
-            "tool": _tool_block(), "D": args.D, "error": "perfect square",
-        }), args.out)
-        return EXIT_DOMAIN
+        return _emit_json({"D": args.D, "error": "perfect square"}, args,
+                          EXIT_DOMAIN)
     except ValueError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    _emit(_json_text({
-        "tool": _tool_block(),
-        "D": args.D,
-        "x0": str(fund.x0),
-        "y0": str(fund.y0),
-    }), args.out)
-    return EXIT_OK
+    return _emit_json({"D": args.D, "x0": str(fund.x0), "y0": str(fund.y0)}, args)
 
 
 def cmd_ns(args):
-    ns = build_ns(args.L2)
-    payload = ns.to_json_dict()
-    payload["tool"] = _tool_block()
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return _emit_json(build_ns(args.L2).to_json_dict(), args)
 
 
 def cmd_decide(args):
@@ -84,15 +88,8 @@ def cmd_decide(args):
     try:
         report = decide(ns)
     except NoPellSolution as exc:
-        _emit(_json_text({
-            "tool": _tool_block(), "L2": args.L2, "case": ns.case,
-            "error": str(exc),
-        }), args.out)
-        return EXIT_DOMAIN
-    payload = report.to_json_dict()
-    payload["tool"] = _tool_block()
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+        return _emit_no_pell(ns, exc, args)
+    return _emit_json(report.to_json_dict(), args)
 
 
 def _scan_row(report):
@@ -116,15 +113,13 @@ def cmd_scan(args):
     rows = [_scan_row(r) for r in scan(args.L2_min, args.L2_max, jobs=args.jobs,
                                        with_search=args.with_search)]
     if args.format == "json":
-        _emit(_json_text({"tool": _tool_block(), "rows": rows}), args.out)
-        return EXIT_OK
+        return _emit_json({"rows": rows}, args)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=SCAN_COLUMNS,
                             quoting=csv.QUOTE_ALL, lineterminator="\n")
     writer.writeheader()
     writer.writerows(rows)
-    _emit(buf.getvalue(), args.out)
-    return EXIT_OK
+    return _emit(buf.getvalue(), args.out, EXIT_OK)
 
 
 def cmd_search(args):
@@ -132,30 +127,21 @@ def cmd_search(args):
     try:
         target = replacement_config(ns)
     except NoPellSolution as exc:
-        _emit(_json_text({
-            "tool": _tool_block(), "L2": args.L2, "case": ns.case,
-            "error": str(exc),
-        }), args.out)
-        return EXIT_DOMAIN
+        return _emit_no_pell(ns, exc, args)
     result = search(ns, standard_config(ns), target)
     payload = result.to_json_dict()
     for cand, blob in zip(result.accepted, payload["accepted"]):
         blob["order"] = classify_order(cand)
-    payload["tool"] = _tool_block()
     payload["L2"] = args.L2
     payload["case"] = ns.case
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return _emit_json(payload, args)
 
 
 def cmd_aut20(args):
     ns = build_ns(20)
-    group = compute_aut_d2(ns)
-    payload = group.to_json_dict()
-    payload["tool"] = _tool_block()
+    payload = compute_aut_d2(ns).to_json_dict()
     payload["case"] = ns.case
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return _emit_json(payload, args)
 
 
 def cmd_fm(args):
@@ -164,10 +150,7 @@ def cmd_fm(args):
     except FMInvalidPolarization as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    payload = model.to_json_dict()
-    payload["tool"] = _tool_block()
-    _emit(_json_text(payload), args.out)
-    return EXIT_OK
+    return _emit_json(model.to_json_dict(), args)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -164,6 +164,13 @@ def kernel_basis(mat):
     return [row[:] for row in u[rank:]]
 
 
+def orthogonal_complement(gram, vectors):
+    """Basis of the saturated orthogonal complement {x : x * gram * v = 0
+    for every v in vectors}, as rows; vectors and rows are coordinates on
+    the basis whose Gram matrix is gram."""
+    return kernel_basis(transpose([vec_mat(v, gram) for v in vectors]))
+
+
 # ---------------------------------------------------------------------------
 # linear algebra over GF(3)
 

@@ -15,8 +15,8 @@ from .exact_linalg import (
     det_bareiss,
     hnf,
     hnf_pivots,
-    kernel_basis,
     mat_mul,
+    orthogonal_complement,
     solve_hnf,
     vec_mat,
 )
@@ -121,19 +121,13 @@ def build(polarization):
     return FMModel(polarization=n, lx2=lx2, case=case, nu=nu, la=la)
 
 
-def _orthogonal_lattice(gram, v):
-    """Rows spanning the saturated orthogonal complement of v in Z^4."""
-    w = vec_mat(v, [list(r) for r in gram])
-    return kernel_basis([[x] for x in w])
-
-
 def transcendental_index(model):
     """Index of the pushed abelian transcendental lattice in the surface one.
 
     Equals 1 when L_X^2 = 2 mod 6 and 3 when L_X^2 = 0 mod 6.
     """
-    tx = _orthogonal_lattice(GRAM_SURFACE, model.polarization)
-    ta = _orthogonal_lattice(GRAM_ABELIAN, model.la)
+    tx = orthogonal_complement(GRAM_SURFACE, [model.polarization])
+    ta = orthogonal_complement(GRAM_ABELIAN, [model.la])
     if len(tx) != 3 or len(ta) != 3:
         raise AssertionError("transcendental lattices must have rank 3")
     pushed = [vec_mat(row, PUSH) for row in ta]

@@ -21,13 +21,13 @@ pass both tests (18 of the 864 for L^2 = 8), and the reference matrix path
 Preservation of ample classes holds automatically for maps of this shape and
 is not re-tested per candidate.
 
-A search is one pass in one process: it validates each configuration and
-builds its 3-divisible words once, and the block supports, the prune and
+A search is one pass in one process: its source is the standard
+configuration, it validates the target once, and it builds each
+configuration's 3-divisible words once; the block supports, the prune and
 the swap masks all read those words.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
 
@@ -44,11 +44,12 @@ from .ns_lattice import (
     DivisorClass,
     L_class,
     N_BLOCKS,
+    NotInLattice,
     curve_a,
     curve_b,
+    curve_sum,
     fractional_generator,
     pairing_times_nine,
-    zero_class,
 )
 
 
@@ -102,18 +103,10 @@ def validate_config(ns, config):
 def orthogonal_generator(ns, config):
     """Primitive generator of the orthogonal complement of a configuration,
     normalized to positive L-coefficient."""
-    from .exact_linalg import kernel_basis
-
-    gram = [list(r) for r in ns.gram]
-    cols = []
-    for pair in config:
-        for c in pair:
-            delta = ns.coords(c)
-            if delta is None:
-                raise NotAConfiguration("a configuration class is outside NS")
-            cols.append(vec_mat(delta, gram))
-    mat = [[col[i] for col in cols] for i in range(DIM)]
-    rows = kernel_basis(mat)
+    try:
+        rows, _ = ns.orthogonal_sublattice(*(c for pair in config for c in pair))
+    except NotInLattice:
+        raise NotAConfiguration("a configuration class is outside NS") from None
     if len(rows) != 1:
         raise NotAConfiguration("orthogonal complement must have rank 1")
     gen = ns.class_from_coords(rows[0])
@@ -245,10 +238,11 @@ class IsometryCandidate:
 
 
 def _m_coords(c):
-    """Coordinates of a class over the Q-basis (numerators divided by 3)."""
-    if all(x % 3 == 0 for x in c.num):
-        return [x // 3 for x in c.num]
-    return [Fraction(x, 3) for x in c.num]
+    """Integer coordinates of a class over the Q-basis (numerators divided
+    by 3); every target class and orthogonal generator has them."""
+    if any(x % 3 for x in c.num):
+        raise AssertionError("a target class has non-integral Q-basis coordinates")
+    return [x // 3 for x in c.num]
 
 
 def _candidate_matrix(l_target, target, sigma, swaps):
@@ -448,7 +442,6 @@ def search(ns, source, target):
     """
     if tuple(map(tuple, source)) != standard_config(ns):
         raise NotAConfiguration("the source must be the standard configuration")
-    validate_config(ns, source)
     validate_config(ns, target)
     src_words = _divisibility_words(ns, source)
     tgt_words = _divisibility_words(ns, target)
@@ -475,7 +468,7 @@ def search(ns, source, target):
         accepted.append(IsometryCandidate(
             sigma=sigma,
             swaps=swaps,
-            matrix=tuple(tuple(int(x) for x in row) for row in mtilde),
+            matrix=tuple(map(tuple, mtilde)),
             disc_sign=sign,
         ))
 
@@ -516,10 +509,7 @@ def d2_configuration(ns):
     square-2 class for L^2 = 20."""
     if ns.L2 != 20:
         raise WrongPolarization("the degree-2 model needs L^2 = 20")
-    total = zero_class()
-    for j in range(1, N_BLOCKS + 1):
-        total = total + curve_a(j) + curve_b(j)
-    d2 = L_class() - total
+    d2 = L_class() - curve_sum()
     if ns.square(d2) != 2 or not ns.is_chamber_ample(d2):
         raise AssertionError("the degree-2 class must be chamber-ample of square 2")
     a = tuple(curve_a(j) for j in range(1, N_BLOCKS + 1))
@@ -536,7 +526,6 @@ def d2_configuration(ns):
 @dataclass(frozen=True)
 class AutElement:
     perm: tuple          # images of the 36 curves (indices 0..35)
-    matrix: tuple        # 19 x 19 on the Q-basis
     disc_sign: int
     order: int
 
@@ -544,7 +533,7 @@ class AutElement:
 @dataclass(frozen=True)
 class AutD2Group:
     """Automorphism group of the polarized degree-2 model, as permutations
-    of the 36 curves with their induced lattice matrices."""
+    of the 36 curves."""
 
     elements: tuple
     sigma_index: int     # the central involution swapping the two mirrors
@@ -621,7 +610,6 @@ def compute_aut_d2(ns):
                 perm[_partner(v)] = _partner(perm[v])
             elements.append(AutElement(
                 perm=tuple(perm),
-                matrix=cand.matrix,
                 disc_sign=cand.disc_sign,
                 order=_perm_order(perm),
             ))

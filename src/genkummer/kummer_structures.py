@@ -35,12 +35,14 @@ class NoPellSolution(HypothesisViolated):
 
 
 def _pell_modulus(ns):
-    """(D, modulus) for the Pell equation and criterion attached to L^2."""
-    t = ns.L2 // 2
+    """(D, m, c) attached to L^2: the Pell equation x^2 - D*y^2 = 1, the
+    criterion modulus m (2t, resp. 2k) and the L-coefficient factor c of the
+    replacement class; D = 2*c*m."""
     if ns.case == CASE_TWO_MOD6:
-        return 12 * t, 2 * t
-    k = ns.L2 // 6
-    return 4 * k, 2 * k
+        m, c = ns.L2, 3
+    else:
+        m, c = ns.L2 // 3, 1
+    return 2 * c * m, m, c
 
 
 @lru_cache(maxsize=1)
@@ -52,11 +54,21 @@ def _fundamental_solution(d):
 
 def pell_data(ns):
     """Fundamental Pell solution for the lattice, or raise NoPellSolution."""
-    d, _ = _pell_modulus(ns)
+    d, _, _ = _pell_modulus(ns)
     if pell.is_square(d):
         raise NoPellSolution(
             f"x^2 - {d}*y^2 = 1 has no solution (6*L^2 = {6 * ns.L2} is a square)")
     return _fundamental_solution(d)
+
+
+def _b1_class(ns, x, y, a, b):
+    """The class c*y*L - ((x+1)/2 * a + x * b) built from a Pell solution
+    (x, y), checked to have square -2 and pairing 1 with a."""
+    _, _, c = _pell_modulus(ns)
+    cls = (c * y) * L_class() - (((x + 1) // 2) * a + x * b)
+    if ns.square(cls) != -2 or ns.pairing(cls, a) != 1:
+        raise AssertionError("replacement class fails its defining relations")
+    return cls
 
 
 def construct(ns, swap=False):
@@ -71,17 +83,10 @@ def construct(ns, swap=False):
     x0, y0 = fund.x0, fund.y0
     if x0 % 2 == 0:
         raise AssertionError("x0 must be odd for these discriminants")
-    if ns.case == CASE_TWO_MOD6:
-        lead = 3 * y0
-        halfdeg = ns.L2 * y0          # 2*t*y0
-    else:
-        lead = y0
-        halfdeg = (ns.L2 // 3) * y0   # 2*k*y0
+    _, m, _ = _pell_modulus(ns)
     a_cls, b_cls = (curve_b(1), curve_a(1)) if swap else (curve_a(1), curve_b(1))
-    b1p = lead * L_class() - (((x0 + 1) // 2) * a_cls + x0 * b_cls)
-    lp = x0 * L_class() - halfdeg * (a_cls + 2 * b_cls)
-    if ns.square(b1p) != -2 or ns.pairing(b1p, a_cls) != 1:
-        raise AssertionError("replacement class fails its defining relations")
+    b1p = _b1_class(ns, x0, y0, a_cls, b_cls)
+    lp = x0 * L_class() - (m * y0) * (a_cls + 2 * b_cls)
     if (ns.square(lp) != ns.L2 or ns.pairing(lp, a_cls) != 0
             or ns.pairing(lp, b1p) != 0 or ns.pairing(lp, L_class()) <= 0):
         raise AssertionError("new orthogonal generator fails its relations")
@@ -186,7 +191,7 @@ def decide(ns):
     and x0 is not +-1 modulo 2t (resp. 2k); when the hypothesis fails the
     report still carries the residue test, marked criterion-only.
     """
-    _, modulus = _pell_modulus(ns)
+    _, modulus, _ = _pell_modulus(ns)
     fund = pell_data(ns)
     flags = check_hypotheses(ns)
     swapped = resolve_swap(ns)
@@ -276,15 +281,10 @@ def verify_uniqueness(ns, n):
     """
     fund = pell_data(ns)
     b1p, _ = construct(ns)
-    lead_factor = 3 if ns.case == CASE_TWO_MOD6 else 1
     sol = (fund.x0, fund.y0)
     for _ in range(n):
         sol = pell.next_solution(fund, sol)
-        x, y = sol
-        cand = (lead_factor * y) * L_class() \
-            - (((x + 1) // 2) * curve_a(1) + x * curve_b(1))
-        if ns.square(cand) != -2 or ns.pairing(cand, curve_a(1)) != 1:
-            raise AssertionError("iterated solution fails the class relations")
+        cand = _b1_class(ns, *sol, curve_a(1), curve_b(1))
         if ns.pairing(cand, b1p) >= 0:
             return False
     return True

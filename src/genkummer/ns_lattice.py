@@ -15,6 +15,7 @@ isometry search relies on, so it is part of the wire format.
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 
 from .exact_linalg import (
     enumerate_norm_vectors,
@@ -23,7 +24,7 @@ from .exact_linalg import (
     has_norm_vector,
     hnf,
     hnf_pivots,
-    kernel_basis,
+    orthogonal_complement,
     snf,
     solve_hnf,
     vec_mat,
@@ -79,10 +80,6 @@ class DivisorClass:
         return list(self.num)
 
 
-def zero_class():
-    return DivisorClass((0,) * DIM)
-
-
 def L_class():
     return DivisorClass((3,) + (0,) * (DIM - 1))
 
@@ -99,6 +96,11 @@ def curve_b(j):
     num = [0] * DIM
     num[2 * j] = 3
     return DivisorClass(tuple(num))
+
+
+def curve_sum():
+    """The sum of the 18 curves, sum_j (A_j + B_j)."""
+    return DivisorClass((0,) + (3,) * (DIM - 1))
 
 
 def _block_pattern(blocks):
@@ -197,18 +199,10 @@ def _pairings(L2, n, rows):
 @lru_cache(maxsize=None)
 def build_k3():
     """Integral basis and Gram matrix of the curve-block lattice."""
-    gens = []
-    for j in range(18):
-        row = [0] * 18
-        row[j] = 3
-        gens.append(row)
-    for blocks in _FRAC_BLOCKS:
-        row = [0] * 18
-        for j, c in blocks.items():
-            row[2 * j - 2] = c
-            row[2 * j - 1] = -c
-        gens.append(row)
-    h, _ = hnf(gens)
+    gens = [curve(j) for j in range(1, N_BLOCKS + 1) for curve in (curve_a, curve_b)]
+    gens += [fractional_generator(i) for i in (1, 2, 3)]
+    # curve coordinates only: the L-coefficient of every generator is 0
+    h, _ = hnf([list(c.num[1:]) for c in gens])
     basis = tuple(tuple(r) for r in h[:18])
     if len(hnf_pivots(h)) != 18:
         raise AssertionError("curve-block lattice must have rank 18")
@@ -216,9 +210,7 @@ def build_k3():
     rows = [(0,) + row for row in basis]
     gram = tuple(_pairings(0, n, rows) for n in rows)
     factors, _, _ = snf([list(r) for r in gram])
-    det = 1
-    for f in factors:
-        det *= f
+    det = prod(factors)
     if det != 27:
         raise AssertionError(f"curve-block lattice has discriminant {det}, not 27")
     return K3Lattice(basis, gram)
@@ -354,9 +346,7 @@ class NSModel:
                 raise AssertionError("lattice is not even")
 
         factors, u, _ = snf([list(r) for r in self.gram])
-        det = 1
-        for f in factors:
-            det *= f
+        det = prod(factors)
         expected = 27 * L2 if self.case == CASE_TWO_MOD6 else 3 * L2
         if det != expected:
             raise AssertionError(f"discriminant {det} != {expected}")
@@ -399,15 +389,14 @@ class NSModel:
 
     # -- orthogonal complements and roots -----------------------------------
 
-    def orthogonal_sublattice(self, d):
-        """Basis (in lattice coordinates) and Gram matrix of d-perp."""
-        delta = self.coords(d)
-        if delta is None:
+    def orthogonal_sublattice(self, *classes):
+        """Basis (in lattice coordinates) and Gram matrix of the sublattice
+        orthogonal to every given class."""
+        deltas = [self.coords(d) for d in classes]
+        if None in deltas:
             raise NotInLattice("class is not in the lattice")
-        w = vec_mat(delta, [list(r) for r in self.gram])
-        rows = kernel_basis([[x] for x in w])
-        gram = [list(r) for r in self.gram]
-        images = [vec_mat(row, gram) for row in rows]
+        rows = orthogonal_complement(self.gram, deltas)
+        images = [vec_mat(row, self.gram) for row in rows]
         sub_gram = [[sum(a * b for a, b in zip(row, img)) for img in images]
                     for row in rows]
         return rows, sub_gram
@@ -427,11 +416,8 @@ class NSModel:
 
     def min_ample_u(self):
         """Least u >= 1 making u*L - sum_j (A_j + B_j) chamber-ample."""
-        base = zero_class()
-        for j in range(1, N_BLOCKS + 1):
-            base = base + curve_a(j) + curve_b(j)
         for u in range(1, 65):
-            if self.is_chamber_ample(u * L_class() - base):
+            if self.is_chamber_ample(u * L_class() - curve_sum()):
                 return u
         raise AssertionError("no ample multiple found below the search cap")
 

@@ -115,6 +115,15 @@ def test_usage_errors(capsys):
     assert run(["scan", "30", "8"]) == 1
 
 
+@pytest.mark.parametrize("argv", [["pell", "120"], ["scan", "8", "20"]])
+def test_unwritable_out_is_a_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "missing" / "report"
+    assert run(argv + ["--out", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {path}: No such file or directory\n"
+
+
 def test_byte_identical_reports(tmp_path):
     for args in (["decide", "44"], ["search", "14"], ["ns", "24"]):
         a = tmp_path / "a.json"

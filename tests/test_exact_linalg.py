@@ -21,6 +21,7 @@ from genkummer.exact_linalg import (
     kernel_basis,
     mat_mul,
     identity_matrix,
+    orthogonal_complement,
     snf,
     solve_hnf,
     transpose,
@@ -172,6 +173,42 @@ def test_kernel_basis_saturated():
     assert len(rows) == 2
     for r in rows:
         assert 2 * r[0] + 4 * r[1] + 6 * r[2] == 0
+
+
+@st.composite
+def grams_and_vectors(draw):
+    n = draw(st.integers(1, 4))
+    gram = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            gram[i][j] = gram[j][i] = draw(st.integers(-4, 4))
+    k = draw(st.integers(1, 3))
+    vectors = [[draw(st.integers(-3, 3)) for _ in range(n)] for _ in range(k)]
+    return gram, vectors
+
+
+@given(grams_and_vectors())
+@settings(max_examples=150, deadline=None)
+def test_orthogonal_complement_is_the_saturated_complement(case):
+    gram, vectors = case
+    n = len(gram)
+
+    def form(x, v):
+        return sum(x[i] * gram[i][j] * v[j] for i in range(n) for j in range(n))
+
+    rows = orthogonal_complement(gram, vectors)
+    assert all(form(r, v) == 0 for r in rows for v in vectors)
+    h, _ = hnf([[sum(gram[i][j] * v[j] for j in range(n)) for i in range(n)]
+                for v in vectors])
+    assert len(rows) == n - len(hnf_pivots(h))
+    # every complement vector in a small box is an integer combination
+    box = [x for x in itertools.product(range(-2, 3), repeat=n)
+           if any(x) and all(form(x, v) == 0 for v in vectors)]
+    if box:
+        assert rows
+        span, _ = hnf(rows)
+        pivots = hnf_pivots(span)
+        assert all(solve_hnf(span, pivots, list(x)) is not None for x in box)
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,13 @@ from math import gcd
 
 import pytest
 
-from genkummer.exact_linalg import det_bareiss, mat_mul
+from genkummer.exact_linalg import det_bareiss, mat_mul, orthogonal_complement
 from genkummer.fm_lattices import (
     GRAM_ABELIAN,
     GRAM_SURFACE,
     PULL,
     PUSH,
     InvalidPolarization,
-    _orthogonal_lattice,
     build,
     transcendental_index,
 )
@@ -80,8 +79,8 @@ def test_invalid_polarizations():
 
 def test_transcendental_rank_and_det_ratio():
     m = build((1, 1, 1, 1))
-    tx = _orthogonal_lattice(GRAM_SURFACE, m.polarization)
-    ta = _orthogonal_lattice(GRAM_ABELIAN, m.la)
+    tx = orthogonal_complement(GRAM_SURFACE, [m.polarization])
+    ta = orthogonal_complement(GRAM_ABELIAN, [m.la])
     assert len(tx) == 3 and len(ta) == 3
     # index 1 means the pushed lattice IS T(X), whose form is 3x the
     # abelian one in rank 3

@@ -10,6 +10,7 @@ from genkummer.isometry_search import (
     _candidate_matrix,
     _disc_sign,
     _divisibility_words,
+    _m_coords,
     _word_candidates,
     NotAConfiguration,
     WrongPolarization,
@@ -26,7 +27,7 @@ from genkummer.isometry_search import (
     validate_config,
 )
 from genkummer.kummer_structures import construct
-from genkummer.ns_lattice import DIM, L_class, build_ns, curve_a, curve_b
+from genkummer.ns_lattice import DIM, DivisorClass, L_class, build_ns, curve_a, curve_b
 
 
 def test_block_sets_standard():
@@ -141,7 +142,8 @@ def test_search_rejects_a_nonstandard_source():
 
 @pytest.mark.parametrize("L2", [20, 36])
 def test_search_builds_each_configuration_once(L2, monkeypatch):
-    # one validation and one set of 3-divisible words per configuration
+    # the source is the standard configuration, checked by equality, so
+    # only the target is validated; one set of 3-divisible words each
     ns = build_ns(L2)
     source, target = standard_config(ns), replacement_config(ns)
     calls = Counter()
@@ -154,7 +156,15 @@ def test_search_builds_each_configuration_once(L2, monkeypatch):
 
         monkeypatch.setattr(isometry_search, name, counted)
     search(ns, source, target)
-    assert calls == {"validate_config": 2, "_divisibility_words": 2}
+    assert calls == {"validate_config": 1, "_divisibility_words": 2}
+
+
+def test_m_coords_rejects_a_fractional_class():
+    # an accepted matrix is stored as integers, so a third may not be
+    # truncated on the way
+    assert _m_coords(L_class()) == [1] + [0] * 18
+    with pytest.raises(AssertionError):
+        _m_coords(DivisorClass((1,) + (0,) * 18))
 
 
 def test_search_twenty_is_empty():

@@ -20,21 +20,38 @@ from genkummer.ns_lattice import (
     build_ns,
     curve_a,
     curve_b,
+    curve_sum,
     dual_generator,
     fractional_generator,
     gluing_class,
     pairing_of,
     pairing_times_nine,
     uv_decompose,
-    zero_class,
 )
 
 
+def _curves():
+    return [curve(j) for j in range(1, 10) for curve in (curve_a, curve_b)]
+
+
 def _sum_curves():
-    total = zero_class()
-    for j in range(1, 10):
-        total = total + curve_a(j) + curve_b(j)
+    total = DivisorClass((0,) * 19)
+    for c in _curves():
+        total = total + c
     return total
+
+
+def test_curve_sum():
+    assert curve_sum() == _sum_curves()
+
+
+@pytest.mark.parametrize("L2", [20, 24, 30, 36])
+def test_complement_of_the_curves_is_L(L2):
+    ns = build_ns(L2)
+    rows, gram = ns.orthogonal_sublattice(*_curves())
+    delta = ns.coords(L_class())
+    assert rows in ([delta], [[-x for x in delta]])
+    assert gram == [[L2]]
 
 
 # ---------------------------------------------------------------------------
