@@ -35,10 +35,6 @@ SCAN_COLUMNS = ("L2", "case", "x0", "y0", "modulus", "residue",
                 "two_structures", "search_agrees")
 
 
-def _tool_block():
-    return {"name": "genkummer", "version": __version__}
-
-
 def _emit(text, out_path, code):
     """Write the report to out_path (stdout when unset) and return code, or
     EXIT_USAGE when the file cannot be written."""
@@ -56,7 +52,7 @@ def _emit(text, out_path, code):
 
 def _emit_json(payload, args, code=EXIT_OK):
     """Write payload, with the tool block added, as the JSON report."""
-    payload["tool"] = _tool_block()
+    payload["tool"] = {"name": "genkummer", "version": __version__}
     text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     return _emit(text, args.out, code)
 
