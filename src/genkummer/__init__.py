@@ -13,7 +13,6 @@ from .ns_lattice import (  # noqa: F401
     curve_a,
     curve_b,
     L_class,
-    uv_decompose,
 )
 from .kummer_structures import (  # noqa: F401
     DecisionReport,

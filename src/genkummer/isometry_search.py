@@ -3,28 +3,33 @@ to another, and the polarized automorphism group of the degree-2 model for
 L^2 = 20.
 
 A candidate map is a block permutation sigma together with a swap bit per
-block (send A_k to either member of target block sigma(k)); together with
-"orthogonal generator goes to orthogonal generator" this pins down a linear
-map on the whole rank-19 lattice.  Of the 9! * 2^9 = 185,794,560 candidates,
-almost all die on the 3-divisibility block supports (the prune), and the
-surviving permutations admit two swap masks, one per fully-supported
-3-divisible word of the target.  Each (permutation, mask) pair (864 of them
-for L^2 = 8: 432 permutations times two masks) is tested without building
-its matrix.  NS lies between M0 = Z*L + <curves> and (1/3)*M0, and the map
-sends L and the curves into NS, so it preserves NS exactly when it keeps the
-glue generators t_1, t_2, t_3 (and the gluing class when L^2 = 0 mod 6) in
-NS: a GF(3) test on their images.  The +-identity action on the
-discriminant group is then read off the images of the discriminant
-generators' lifts.  A 19 x 19 matrix is built only for the candidates that
-pass both tests (18 of the 864 for L^2 = 8), and the reference matrix path
-(basis coordinates from the shared HNF solver) re-checks each of them.
-Preservation of ample classes holds automatically for maps of this shape and
-is not re-tested per candidate.
+block (send A_k to either member of target block sigma(k)); with "orthogonal
+generator goes to orthogonal generator" this pins down a linear map on the
+rank-19 lattice.  Of the 9! * 2^9 candidates, the 3-divisibility block
+supports keep 432 permutations (a coset of AGL(2,3)) with two swap masks
+each: 864.  NS lies between M0 = Z*L + <curves> and (1/3)*M0, so a candidate
+preserves NS exactly when it keeps the glue generators t_1, t_2, t_3 (and
+the gluing class when L^2 = 0 mod 6) in NS, a GF(3) test on their images;
+its action on the discriminant group A_NS is read off the images of the
+generators' lifts.  This verdict builds no matrix.
 
-A search is one pass in one process: its source is the standard
-configuration, it validates the target once, and it builds each
-configuration's 3-divisible words once; the block supports, the prune and
-the swap masks all read those words.
+Candidates compose as (sigma, s) o (sigma', s') = (sigma o sigma', s' xor
+s o sigma'); those onto a target are c o G for any one of them, c, where G
+is the group of the 864 onto the source itself.  Let Stab be its subgroup
+preserving NS, H the one acting on A_NS by +1.  The NS-preserving
+candidates are p o Stab or none, so one verdict per coset of Stab finds p;
+p o q o H acts on A_NS as p o q does, so one sign test per coset of H in
+Stab finds the accepted maps.  |Stab| is 864, 72, 144 or 108 (L^2 = 2 mod 6,
+6, 12, 0 mod 18), |H| = 18: at most 1 + 48 verdicts, and three for H.
+
+Stab reads only the NS basis, one per case; the first search on a basis in
+a process computes it and H from 864 verdicts.  For 2 mod 6, NS = Z*L + K
+and the self-maps fix L, so H is the kernel of Stab -> O(A_K) for every L^2
+(Nikulin 1979, discriminant forms); for 0 mod 6 this is measured (every
+admissible L^2 < 1000, in the tests).  Each search checks that H's
+generators act by +1 and raises AssertionError if not.  Only accepted maps
+get a 19 x 19 matrix, re-checked by the reference path (basis coordinates
+from the shared HNF solver).  Maps of this shape preserve ample classes.
 """
 
 from dataclasses import dataclass
@@ -157,6 +162,8 @@ class BlockDivisibilitySet:
     def __post_init__(self):
         canonical = sorted((frozenset(s) for s in self.subsets),
                            key=lambda s: sorted(s))
+        if len(set(canonical)) != 12:
+            raise NotAConfiguration("expected twelve distinct block supports")
         object.__setattr__(self, "subsets", tuple(canonical))
 
 
@@ -166,8 +173,6 @@ def _block_set(words):
     sizes = sorted(len(_support(w)) for w in words)
     if sizes != [0] + [6] * 24 + [9] * 2:
         raise NotAConfiguration("support profile must be 1/24/2 over 0/6/9 blocks")
-    if len(supports) != 12:
-        raise NotAConfiguration("expected exactly 12 six-block supports")
     return BlockDivisibilitySet(tuple(supports))
 
 
@@ -181,9 +186,9 @@ def block_sets(ns, config):
 # permutation prune
 
 
-def prune(bl, bl_prime):
-    """All permutations of the nine blocks mapping every support of bl to a
-    support of bl_prime, in lexicographic order (images of blocks 1..9)."""
+def _backtrack(bl, bl_prime):
+    """Generate, in lexicographic order, the permutations of the nine blocks
+    mapping every support of bl to a support of bl_prime."""
     full = frozenset(range(9))
     src3 = [full - frozenset(x - 1 for x in s) for s in bl.subsets]
     tgt3 = {full - frozenset(x - 1 for x in s) for s in bl_prime.subsets}
@@ -192,11 +197,10 @@ def prune(bl, bl_prime):
         by_last[max(t)].append(tuple(t))
     img = [None] * 9
     used = [False] * 9
-    out = []
 
     def rec(pos):
         if pos == 9:
-            out.append(tuple(x + 1 for x in img))
+            yield tuple(x + 1 for x in img)
             return
         for w in range(9):
             if used[w]:
@@ -204,12 +208,26 @@ def prune(bl, bl_prime):
             img[pos] = w
             if all(frozenset(img[x] for x in t) in tgt3 for t in by_last[pos]):
                 used[w] = True
-                rec(pos + 1)
+                yield from rec(pos + 1)
                 used[w] = False
-        img[pos] = None
 
-    rec(0)
-    return out
+    return rec(0)
+
+
+@lru_cache(maxsize=None)
+def _automorphisms(bl):
+    return tuple(_backtrack(bl, bl))
+
+
+def prune(bl, bl_prime):
+    """All permutations of the nine blocks mapping every support of bl to a
+    support of bl_prime, in lexicographic order (images of blocks 1..9).
+    Both hold twelve distinct supports, so these are tau * Aut(bl) for the
+    first one, tau; a configuration's complements are the lines of AG(2,3),
+    so its Aut(bl) is AGL(2,3)."""
+    tau = next(_backtrack(bl, bl_prime), None)
+    return [] if tau is None else sorted(
+        tuple(tau[a - 1] for a in aut) for aut in _automorphisms(bl))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +412,8 @@ class SearchResult:
     "accepted" the rest of the NS-preserving maps.  "non_integral" counts
     every other candidate: the maps that do not preserve NS, and also the
     swap masks that the fully-supported words rule out before any map is
-    tested.
+    tested.  The counts follow from |Stab| and the accepted maps (module
+    docstring), not from a verdict on each candidate.
     """
 
     accepted: tuple
@@ -430,6 +449,48 @@ def _word_candidates(src_words, tgt_words, sigmas):
                                for j in range(N_BLOCKS))
 
 
+def _compose(a, b):
+    """The candidate a o b: first b = (sigma', s'), then a = (sigma, s)."""
+    (sigma, s), (sigma2, s2) = a, b
+    return (tuple(sigma[k - 1] for k in sigma2),
+            tuple(x != s[k - 1] for x, k in zip(s2, sigma2)))
+
+
+def _coset_reps(group, subgroup):
+    """The first member of each left coset g o subgroup."""
+    reps, seen = [], set()
+    for g in group:
+        if g not in seen:
+            reps.append(g)
+            seen.update(_compose(g, h) for h in subgroup)
+    return tuple(reps)
+
+
+_SELF_MAPS = {}
+
+
+def _self_maps(ns, words):
+    """Representatives of G / Stab and Stab / H, H and generators of H for
+    this NS basis, from 864 verdicts on its first use."""
+    key = (ns.basis, ns.gluing)
+    if key not in _SELF_MAPS:
+        check = _MatrixFreeFilter(ns, standard_config(ns))
+        sigmas = _automorphisms(_block_set(words))
+        group = tuple(_word_candidates(words, words, sigmas))
+        verdicts = [check.verdict(*g) for g in group]
+        stab = [g for g, (ok, _) in zip(group, verdicts) if ok]
+        h = [g for g, v in zip(group, verdicts) if v == (True, 1)]
+        gens, span = [], {group[0]}  # group[0] is the identity
+        for x in h:
+            if x not in span:
+                gens.append(x)
+                while more := {_compose(a, g) for a in span for g in gens} - span:
+                    span |= more
+        _SELF_MAPS[key] = (_coset_reps(group, stab), _coset_reps(stab, h),
+                           tuple(h), tuple(gens))
+    return _SELF_MAPS[key]
+
+
 def search(ns, source, target):
     """All isometries of NS sending the source configuration to the target
     one (blockwise, respecting incidence) and the source orthogonal
@@ -438,7 +499,8 @@ def search(ns, source, target):
 
     The candidate maps are built on the Q-basis (L, A_1, B_1, ..., A_9,
     B_9), so the source must be standard_config(ns); any other source
-    raises NotAConfiguration.
+    raises NotAConfiguration.  One candidate per coset is tested (module
+    docstring); unless H acts by +1 here, AssertionError is raised.
     """
     if tuple(map(tuple, source)) != standard_config(ns):
         raise NotAConfiguration("the source must be the standard configuration")
@@ -446,39 +508,36 @@ def search(ns, source, target):
     src_words = _divisibility_words(ns, source)
     tgt_words = _divisibility_words(ns, target)
     sigmas = prune(_block_set(src_words), _block_set(tgt_words))
+    g_reps, stab_reps, h, h_gens = _self_maps(ns, src_words)
+    own = _MatrixFreeFilter(ns, source)
+    if any(own.verdict(*g) != (True, 1) for g in h_gens):
+        raise AssertionError("a cached self-map does not act by +1 on A_NS")
 
     check = _MatrixFreeFilter(ns, target)
+    first = next(_word_candidates(src_words, tgt_words, sigmas), None)
+    cosets = [_compose(first, r) for r in g_reps] if first else []
+    p = next((c for c in cosets if check.verdict(*c)[0]), None)
     accepted = []
-    integral = 0
-    disc_fail = 0
-    for sigma, swaps in _word_candidates(src_words, tgt_words, sigmas):
-        preserves, sign = check.verdict(sigma, swaps)
-        if not preserves:
-            continue
-        integral += 1
-        if sign is None:
-            disc_fail += 1
-            continue
-        mtilde = _candidate_matrix(check.l_target, target, sigma, swaps)
-        x_mat = basis_matrix(ns, mtilde)
-        if x_mat is None or _disc_sign(ns, x_mat) != sign:
-            raise AssertionError("matrix-free verdict disagrees with the basis matrix")
-        if not _is_isometry(ns.L2, mtilde):
-            raise AssertionError("accepted candidate must preserve the form")
-        accepted.append(IsometryCandidate(
-            sigma=sigma,
-            swaps=swaps,
-            matrix=tuple(map(tuple, mtilde)),
-            disc_sign=sign,
-        ))
+    for q in stab_reps if p else ():
+        pq = _compose(p, q)
+        _, sign = check.verdict(*pq)
+        for sigma, swaps in (_compose(pq, x) for x in h) if sign else ():
+            mtilde = _candidate_matrix(check.l_target, target, sigma, swaps)
+            x_mat = basis_matrix(ns, mtilde)
+            if x_mat is None or _disc_sign(ns, x_mat) != sign:
+                raise AssertionError("matrix-free verdict disagrees with the basis matrix")
+            if not _is_isometry(ns.L2, mtilde):
+                raise AssertionError("accepted candidate must preserve the form")
+            accepted.append(IsometryCandidate(
+                sigma, swaps, tuple(map(tuple, mtilde)), disc_sign=sign))
 
     accepted.sort(key=lambda c: (c.sigma, c.swaps))
-    total = factorial(9) * 2 ** 9
+    integral = len(stab_reps) * len(h) if p else 0
     per_sigma = 2 ** 9
     counts = {
-        "pruned": total - len(sigmas) * per_sigma,
+        "pruned": (factorial(9) - len(sigmas)) * per_sigma,
         "non_integral": len(sigmas) * per_sigma - integral,
-        "disc_fail": disc_fail,
+        "disc_fail": integral - len(accepted),
         "accepted": len(accepted),
     }
     return SearchResult(tuple(accepted), len(sigmas), counts)

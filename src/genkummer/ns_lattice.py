@@ -47,10 +47,6 @@ class NotInLattice(ValueError):
     """A divisor class is not integral on this Neron-Severi lattice."""
 
 
-class NotRepresentable(ValueError):
-    """A class has non-integral intersection with some curve A_j or B_j."""
-
-
 @dataclass(frozen=True)
 class DivisorClass:
     """A class (1/3)(n0*L + n1*A1 + n2*B1 + ... + n17*A9 + n18*B9)."""
@@ -152,24 +148,6 @@ def pairing_times_nine(L2, n, m):
 def pairing_of(L2, c, d):
     """Exact intersection number of two divisor classes."""
     return Fraction(pairing_times_nine(L2, c.num, d.num), 9)
-
-
-def uv_decompose(c):
-    """Split a class as a*L - (1/3) sum_j (u_j*F_j + v_j*G_j).
-
-    Here F_j = A_j + 2 B_j and G_j = 2 A_j + B_j; the integers satisfy
-    u_j = c.B_j and v_j = c.A_j.  Raises NotRepresentable when some
-    intersection with a curve is not an integer.
-    """
-    pairs = []
-    for j in range(1, N_BLOCKS + 1):
-        a, b = c.num[2 * j - 1], c.num[2 * j]
-        qu, ru = divmod(a - 2 * b, 3)
-        qv, rv = divmod(b - 2 * a, 3)
-        if ru or rv:
-            raise NotRepresentable(f"non-integral intersection on block {j}")
-        pairs.append((qu, qv))
-    return Fraction(c.num[0], 3), pairs
 
 
 # ---------------------------------------------------------------------------
@@ -389,12 +367,18 @@ class NSModel:
 
     # -- orthogonal complements and roots -----------------------------------
 
-    def orthogonal_sublattice(self, *classes):
-        """Basis (in lattice coordinates) and Gram matrix of the sublattice
-        orthogonal to every given class."""
+    def _lattice_coords(self, classes):
         deltas = [self.coords(d) for d in classes]
         if None in deltas:
             raise NotInLattice("class is not in the lattice")
+        return deltas
+
+    def orthogonal_sublattice(self, *classes):
+        """Basis (in lattice coordinates) and Gram matrix of the sublattice
+        orthogonal to every given class."""
+        return self._complement(self._lattice_coords(classes))
+
+    def _complement(self, deltas):
         rows = orthogonal_complement(self.gram, deltas)
         images = [vec_mat(row, self.gram) for row in rows]
         sub_gram = [[sum(a * b for a, b in zip(row, img)) for img in images]
@@ -407,11 +391,10 @@ class NSModel:
         Such a class sits in the interior of a Weyl chamber; this is the
         testable content of ampleness used throughout.
         """
-        if self.coords(d) is None:
-            raise NotInLattice("class is not in the lattice")
+        delta = self._lattice_coords([d])
         if self.square(d) <= 0:
             return False
-        _, sub_gram = self.orthogonal_sublattice(d)
+        _, sub_gram = self._complement(delta)
         return not has_norm_vector(sub_gram, -2)
 
     def min_ample_u(self):
@@ -423,12 +406,10 @@ class NSModel:
 
     def root_system_of_orthogonal(self, d):
         """All square -2 classes orthogonal to d, split into ADE components."""
-        delta = self.coords(d)
-        if delta is None:
-            raise NotInLattice("class is not in the lattice")
+        delta = self._lattice_coords([d])
         if self.square(d) <= 0:
             raise ValueError("orthogonal root system needs d^2 > 0")
-        rows, sub_gram = self.orthogonal_sublattice(d)
+        rows, sub_gram = self._complement(delta)
         sols = enumerate_norm_vectors(sub_gram, -2)
         reps = []
         for k in range(0, len(sols), 2):

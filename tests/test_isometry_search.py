@@ -1,12 +1,15 @@
 from collections import Counter
+from math import factorial
 
 import pytest
 
-from genkummer import isometry_search, pell
+from genkummer import cli, isometry_search, pell
 from genkummer.exact_linalg import identity_matrix
 from genkummer.isometry_search import (
     BlockDivisibilitySet,
     _MatrixFreeFilter,
+    _backtrack,
+    _block_set,
     _candidate_matrix,
     _disc_sign,
     _divisibility_words,
@@ -26,7 +29,7 @@ from genkummer.isometry_search import (
     standard_config,
     validate_config,
 )
-from genkummer.kummer_structures import construct
+from genkummer.kummer_structures import admissible_values, construct
 from genkummer.ns_lattice import DIM, DivisorClass, L_class, build_ns, curve_a, curve_b
 
 
@@ -82,14 +85,39 @@ def test_prune_counts():
     assert sigmas == sorted(sigmas)
 
 
+def _tweaked(bl):
+    # break one support: no valid configuration has {1..6} 3-divisible here
+    subsets = list(bl.subsets)
+    subsets[0] = frozenset({1, 2, 3, 4, 5, 6})
+    return BlockDivisibilitySet(tuple(subsets))
+
+
 def test_prune_monotonicity():
     ns = build_ns(20)
     bl = block_sets(ns, standard_config(ns))
-    subsets = list(bl.subsets)
-    # break one support: no valid configuration has {1..6} 3-divisible here
-    subsets[0] = frozenset({1, 2, 3, 4, 5, 6})
-    tweaked = BlockDivisibilitySet(tuple(subsets))
-    assert len(prune(bl, tweaked)) < 432
+    assert len(prune(bl, _tweaked(bl))) < 432
+
+
+@pytest.mark.parametrize("L2", [20, 36])
+def test_prune_is_the_backtracking(L2):
+    # the coset tau * Aut(bl) against the plain backtracking, in order
+    ns = build_ns(L2)
+    bl = block_sets(ns, standard_config(ns))
+    rep = block_sets(ns, replacement_config(ns))
+    for a, b in [(bl, bl), (bl, rep), (rep, bl), (rep, rep),
+                 (bl, _tweaked(bl)), (_tweaked(bl), bl),
+                 (_tweaked(bl), _tweaked(bl))]:
+        assert prune(a, b) == list(_backtrack(a, b))
+
+
+def test_block_sets_need_twelve_distinct_supports():
+    # prune's coset tau * Aut(bl) needs both sets to hold twelve supports
+    ns = build_ns(20)
+    bl = block_sets(ns, standard_config(ns))
+    with pytest.raises(NotAConfiguration):
+        BlockDivisibilitySet(bl.subsets[:11])
+    with pytest.raises(NotAConfiguration):
+        BlockDivisibilitySet(bl.subsets[:11] + bl.subsets[:1])
 
 
 @pytest.mark.parametrize("L2", [20, 24, 30, 36])
@@ -117,6 +145,112 @@ def test_matrix_free_verdicts_match_the_basis_matrix(L2):
         assert verdicts[(True, None)] > 0
         # with a gluing class, most candidates fail integrality on it alone
         assert (verdicts[(False, None)] > 0) == (ns.gluing is not None)
+
+
+def _enumerated(ns, target):
+    """The search with one verdict per candidate (864 of them), on the plain
+    backtracking prune: prune_count, status_counts and the accepted
+    (sigma, swaps, disc_sign), to compare with the coset search."""
+    source = standard_config(ns)
+    src_words = _divisibility_words(ns, source)
+    tgt_words = _divisibility_words(ns, target)
+    sigmas = list(_backtrack(_block_set(src_words), _block_set(tgt_words)))
+    check = _MatrixFreeFilter(ns, target)
+    integral, accepted = 0, []
+    for sigma, swaps in _word_candidates(src_words, tgt_words, sigmas):
+        preserves, sign = check.verdict(sigma, swaps)
+        integral += preserves
+        if sign is not None:
+            accepted.append((sigma, swaps, sign))
+    counts = {
+        "pruned": (factorial(9) - len(sigmas)) * 2 ** 9,
+        "non_integral": len(sigmas) * 2 ** 9 - integral,
+        "disc_fail": integral - len(accepted),
+        "accepted": len(accepted),
+    }
+    return len(sigmas), counts, sorted(accepted)
+
+
+def _searched(ns, target):
+    result = search(ns, standard_config(ns), target)
+    return (result.prune_count, result.status_counts,
+            [(c.sigma, c.swaps, c.disc_sign) for c in result.accepted])
+
+
+def _targets(ns):
+    """The standard configuration, and the replacement one if Pell is
+    solvable."""
+    targets = [standard_config(ns)]
+    if not pell.is_square(6 * ns.L2):
+        targets.append(replacement_config(ns))
+    return targets
+
+
+@pytest.mark.parametrize("L2", [8, 20, 24, 30, 36, 42, 48])
+def test_coset_search_matches_the_enumeration(L2):
+    ns = build_ns(L2)
+    for target in _targets(ns):
+        assert _searched(ns, target) == _enumerated(ns, target)
+
+
+@pytest.mark.slow
+def test_coset_search_matches_the_enumeration_below_1000():
+    # every admissible L^2 < 1000, 0 mod 18 included; the standard target
+    # also where Pell has no solution
+    mismatches = []
+    for L2 in admissible_values(2, 999):
+        ns = build_ns(L2)
+        for target in _targets(ns):
+            if _searched(ns, target) != _enumerated(ns, target):
+                mismatches.append(L2)
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("L2, cosets", [(8, (1, 48)), (24, (12, 4)),
+                                        (30, (6, 8)), (36, (8, 6))])
+def test_search_runs_a_verdict_per_coset(L2, cosets, monkeypatch):
+    # once the cached cosets of Stab and H are built, a search tests one
+    # candidate per coset of Stab until one preserves NS, one per coset of
+    # H in Stab, and the (at most three) generators of H
+    ns = build_ns(L2)
+    source = standard_config(ns)
+    search(ns, source, source)
+    g_reps, stab_reps, h, gens = isometry_search._SELF_MAPS[(ns.basis, ns.gluing)]
+    assert (len(g_reps), len(stab_reps), len(h)) == cosets + (18,)
+    assert len(gens) <= 3
+    calls = Counter()
+    verdict = _MatrixFreeFilter.verdict
+
+    def counted(self, *cand):
+        calls["verdict"] += 1
+        return verdict(self, *cand)
+
+    monkeypatch.setattr(_MatrixFreeFilter, "verdict", counted)
+    for target in _targets(ns):
+        calls.clear()
+        search(ns, source, target)
+        assert calls["verdict"] <= len(g_reps) + len(stab_reps) + len(gens) <= 60
+
+
+def test_a_corrupt_cached_h_is_an_internal_error(monkeypatch, capsys):
+    # at L^2 = 2 some NS-preserving self-maps act on A_NS by -1; with one
+    # of them among the generators of the cached H, search must refuse
+    ns = build_ns(2)
+    source = standard_config(ns)
+    words = _divisibility_words(ns, source)
+    sigmas = prune(_block_set(words), _block_set(words))
+    check = _MatrixFreeFilter(ns, source)
+    minus = next(c for c in _word_candidates(words, words, sigmas)
+                 if check.verdict(*c) == (True, -1))
+    search(ns, source, source)
+    key = (ns.basis, ns.gluing)
+    g_reps, stab_reps, h, gens = isometry_search._SELF_MAPS[key]
+    monkeypatch.setitem(isometry_search._SELF_MAPS, key,
+                        (g_reps, stab_reps, h, gens + (minus,)))
+    with pytest.raises(AssertionError):
+        search(ns, source, replacement_config(ns))
+    assert cli.run(["search", "2"]) == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().err.startswith("error: internal: ")
 
 
 def test_search_identity_present():

@@ -15,7 +15,7 @@ from genkummer.ns_lattice import (
     InvalidPolarization,
     L_class,
     NotInLattice,
-    NotRepresentable,
+    NSModel,
     build_k3,
     build_ns,
     curve_a,
@@ -26,7 +26,6 @@ from genkummer.ns_lattice import (
     gluing_class,
     pairing_of,
     pairing_times_nine,
-    uv_decompose,
 )
 
 
@@ -222,49 +221,6 @@ def test_pairing_symmetric_integral_even(ca, cb, L2):
 
 
 # ---------------------------------------------------------------------------
-# u/v decomposition
-
-
-def test_uv_decompose_fixtures():
-    b1p = 3 * L_class() - (6 * curve_a(1) + 11 * curve_b(1))
-    a, pairs = uv_decompose(b1p)
-    assert a == 3
-    assert pairs[0] == (16, 1)
-    assert all(p == (0, 0) for p in pairs[1:])
-
-    a, pairs = uv_decompose(L_class())
-    assert a == 1 and all(p == (0, 0) for p in pairs)
-
-    # u_j and v_j are the intersections with B_j and A_j
-    a, pairs = uv_decompose(curve_a(1))
-    assert a == 0 and pairs[0] == (1, -2)
-    a, pairs = uv_decompose(-(curve_a(1) + 2 * curve_b(1)))
-    assert pairs[0] == (3, 0)
-
-
-def test_uv_decompose_rejects_fractional():
-    with pytest.raises(NotRepresentable):
-        uv_decompose(DivisorClass((0, 1) + (0,) * 17))
-
-
-@given(lattice_elements(), st.sampled_from([20, 24]))
-@settings(max_examples=60, deadline=None)
-def test_uv_decompose_inverts(coeffs, L2):
-    ns = build_ns(L2)
-    c = ns.class_from_coords(list(coeffs))
-    a, pairs = uv_decompose(c)
-    rebuilt = [0] * 19
-    rebuilt[0] = int(3 * a)
-    for j, (u, v) in enumerate(pairs, start=1):
-        rebuilt[2 * j - 1] = -(u + 2 * v)
-        rebuilt[2 * j] = -(2 * u + v)
-    assert tuple(rebuilt) == c.num
-    for j, (u, v) in enumerate(pairs, start=1):
-        assert ns.pairing(c, curve_b(j)) == u
-        assert ns.pairing(c, curve_a(j)) == v
-
-
-# ---------------------------------------------------------------------------
 # 3-divisible cosets
 
 
@@ -359,6 +315,24 @@ def test_chamber_ample_requires_membership():
     ns = build_ns(20)
     with pytest.raises(NotInLattice):
         ns.is_chamber_ample(DivisorClass((1,) + (0,) * 18))
+
+
+@pytest.mark.parametrize("L2", [8, 20])
+def test_min_ample_u_solves_each_class_once(L2, monkeypatch):
+    # one coordinate solve per tested class u*L - sum of the curves, for the
+    # membership check and the orthogonal complement together
+    ns = build_ns(L2)
+    solved = []
+    coords = NSModel.coords
+
+    def counted(self, c):
+        solved.append(c)
+        return coords(self, c)
+
+    monkeypatch.setattr(NSModel, "coords", counted)
+    u = ns.min_ample_u()
+    assert len(solved) == u
+    assert [c.num[0] for c in solved] == [3 * k for k in range(1, u + 1)]
 
 
 def test_min_ample_u_table():
