@@ -584,11 +584,16 @@ def matrix_order(mat):
     """Exact multiplicative order of a square integer matrix.
 
     Returns an int when the matrix has finite order (verified by exact
-    powering), "infinite" otherwise.  Finite order forces the characteristic
-    polynomial to be a product of cyclotomic polynomials; when it is, the
-    only possible order is the lcm of their indices.
+    powering), "infinite" otherwise.  The eigenvalues of a finite-order
+    matrix are roots of unity, so |trace| > n already means "infinite",
+    decided without the characteristic polynomial.  Past that bound, finite
+    order forces the characteristic polynomial to be a product of cyclotomic
+    polynomials; when it is, the only possible order is the lcm of their
+    indices.
     """
     n = len(mat)
+    if abs(sum(mat[i][i] for i in range(n))) > n:
+        return "infinite"
     poly = charpoly(mat)
     indices = []
     for d, phi in _small_totients(n):

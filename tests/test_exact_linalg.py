@@ -1,10 +1,12 @@
 import itertools
 from fractions import Fraction
-from math import isqrt
+from functools import reduce
+from math import isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from genkummer import exact_linalg
 from genkummer.exact_linalg import (
     IndefiniteForm,
     SingularMatrix,
@@ -21,6 +23,7 @@ from genkummer.exact_linalg import (
     kernel_basis,
     mat_mul,
     identity_matrix,
+    matrix_order,
     orthogonal_complement,
     snf,
     solve_hnf,
@@ -521,6 +524,44 @@ def test_charpoly_triangular(diag):
 
 
 # ---------------------------------------------------------------------------
+# multiplicative order
+
+
+def test_matrix_order_at_the_trace_bound():
+    # 19 x 19 finite-order matrices with |trace| up to n keep their orders
+    n = 19
+    assert matrix_order(identity_matrix(n)) == 1
+    assert matrix_order([[-x for x in row] for row in identity_matrix(n)]) == 2
+    cycle = [[int(j == (i + 1) % n) for j in range(n)] for i in range(n)]
+    assert matrix_order(cycle) == 19
+    # rotations of orders 3, 4, 6, 3, 4, 6, 3, 2 and 1, then [-1]
+    r3, r4, r6 = [[0, -1], [1, -1]], [[0, -1], [1, 0]], [[0, -1], [1, 1]]
+    m = _block_diag(r3, r4, r6, r3, r4, r6, r3, [[-1, 0], [0, -1]],
+                    identity_matrix(2), [[-1]])
+    assert len(m) == n
+    assert matrix_order(m) == lcm(3, 4, 6, 2) == 12
+
+
+def test_matrix_order_passes_the_bound_and_is_still_infinite():
+    # |trace| = n: the characteristic polynomial (x - 1)^2 is cyclotomic,
+    # and exact powering rules the unipotent matrix out
+    assert matrix_order([[1, 1], [0, 1]]) == "infinite"
+    assert matrix_order([[-1, 1], [0, -1]]) == "infinite"
+
+
+def test_matrix_order_past_the_bound_skips_the_charpoly(monkeypatch):
+    def no_charpoly(mat):
+        raise AssertionError("charpoly called past the trace bound")
+
+    monkeypatch.setattr(exact_linalg, "charpoly", no_charpoly)
+    assert matrix_order([[2, 0], [0, 1]]) == "infinite"
+    for sign in (1, -1):
+        m = [[sign * x for x in row] for row in identity_matrix(19)]
+        m[7][7] = 2 * sign
+        assert matrix_order(m) == "infinite"
+
+
+# ---------------------------------------------------------------------------
 # differential checks against sympy
 
 
@@ -572,3 +613,65 @@ def test_hnf_and_snf_match_sympy(m):
     for i, c in enumerate(hnf_pivots(h)):
         pivots *= h[i][c]
     assert pivots == abs(sm.det())
+
+
+def _sympy_order(m):
+    """Order of an integer matrix by powering in sympy alone: an eigenvalue
+    of an n x n finite-order matrix is a primitive d-th root of unity with
+    phi(d) <= n (and so d <= 2 n^2), so the order divides the lcm B of those
+    d; finite iff m^B = I, and then divide B down by its primes."""
+    sympy = pytest.importorskip("sympy")
+    n = len(m)
+    mat, eye = sympy.Matrix(m), sympy.eye(n)
+    bound = reduce(lcm, (d for d in range(1, 2 * n * n + 1) if sympy.totient(d) <= n))
+    if mat ** bound != eye:
+        return "infinite"
+    order = bound
+    for p in sympy.primefactors(bound):
+        while order % p == 0 and mat ** (order // p) == eye:
+            order //= p
+    return order
+
+
+@st.composite
+def conjugated_signed_permutations(draw):
+    """(U D U^-1, order of D): D a signed permutation matrix, U a product of
+    integer transvections, applied as row and inverse column operations."""
+    n = draw(st.integers(1, 7))
+    perm = draw(st.permutations(range(n)))
+    signs = draw(st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n))
+    m = [[signs[i] if j == perm[i] else 0 for j in range(n)] for i in range(n)]
+    order, seen = 1, set()
+    for start in range(n):
+        if start in seen:
+            continue
+        length, sign, i = 0, 1, start
+        while i not in seen:
+            seen.add(i)
+            sign *= signs[i]
+            length += 1
+            i = perm[i]
+        order = lcm(order, length if sign == 1 else 2 * length)
+    if n > 1:
+        for _ in range(draw(st.integers(0, 12))):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2,
+                                 unique=True))
+            c = draw(st.integers(-5, 5))
+            for k in range(n):
+                m[i][k] += c * m[j][k]
+            for k in range(n):
+                m[k][j] -= c * m[k][i]
+    return m, order
+
+
+@given(square_integer_matrices())
+@settings(max_examples=100, deadline=None)
+def test_matrix_order_matches_sympy(m):
+    assert matrix_order(m) == _sympy_order(m)
+
+
+@given(conjugated_signed_permutations())
+@settings(max_examples=100, deadline=None)
+def test_matrix_order_of_conjugated_signed_permutations(case):
+    m, order = case
+    assert matrix_order(m) == order == _sympy_order(m)

@@ -4,7 +4,13 @@ from math import factorial
 import pytest
 
 from genkummer import cli, isometry_search, pell
-from genkummer.exact_linalg import identity_matrix
+from genkummer.exact_linalg import (
+    _cyclotomic,
+    _poly_div_exact,
+    _small_totients,
+    charpoly,
+    identity_matrix,
+)
 from genkummer.isometry_search import (
     BlockDivisibilitySet,
     _MatrixFreeFilter,
@@ -358,6 +364,31 @@ def test_infinite_order_cases():
         assert result.accepted
         for cand in result.accepted:
             assert classify_order(cand) == "infinite"
+
+
+def _is_cyclotomic_product(poly):
+    for d, _ in _small_totients(len(poly) - 1):
+        while (quotient := _poly_div_exact(poly, _cyclotomic(d))) is not None:
+            poly = quotient
+    return poly == [1]
+
+
+def test_trace_bound_agrees_with_the_charpoly():
+    # every map accepted onto the replacement configuration, L^2 < 200:
+    # where |trace| > 19 rules out finite order, the charpoly is not a
+    # product of cyclotomic polynomials either
+    misses, decided = [], 0
+    for L2 in admissible_values(2, 199):
+        ns = build_ns(L2)
+        for target in _targets(ns)[1:]:
+            for cand in search(ns, standard_config(ns), target).accepted:
+                mat = [list(r) for r in cand.matrix]
+                if abs(sum(mat[i][i] for i in range(DIM))) > DIM:
+                    decided += 1
+                    if _is_cyclotomic_product(charpoly(mat)):
+                        misses.append((L2, cand.sigma, cand.swaps))
+    assert misses == []
+    assert decided > 0
 
 
 def test_d2_configuration_values():
