@@ -146,7 +146,8 @@ def pairing_times_nine(L2, n, m):
 
 
 def pairing_of(L2, c, d):
-    """Exact intersection number of two divisor classes."""
+    """Exact rational intersection number of any two classes, the dual
+    generators included; NSModel.pairing is the integer one on NS."""
     return Fraction(pairing_times_nine(L2, c.num, d.num), 9)
 
 
@@ -161,22 +162,30 @@ class K3Lattice:
 
     basis: tuple   # 18 rows of 18 scaled curve coordinates (HNF)
     gram: tuple
+    # U * gram * V = diag(factors), the Smith normal form (see _case_template)
+    factors: tuple
+    snf_u: tuple
+    snf_v: tuple
+
+
+def _pairing(L2, n, m):
+    """Intersection number of two classes of the lattice, asserting it is
+    integral."""
+    q, r = divmod(pairing_times_nine(L2, n, m), 9)
+    if r:
+        raise AssertionError("non-integral pairing on an integral basis")
+    return q
 
 
 def _pairings(L2, n, rows):
     """Intersection numbers of n with each row, asserting each is integral."""
-    out = []
-    for m in rows:
-        q, r = divmod(pairing_times_nine(L2, n, m), 9)
-        if r:
-            raise AssertionError("non-integral pairing on an integral basis")
-        out.append(q)
-    return tuple(out)
+    return tuple(_pairing(L2, n, m) for m in rows)
 
 
 @lru_cache(maxsize=None)
 def build_k3():
-    """Integral basis and Gram matrix of the curve-block lattice."""
+    """Integral basis, Gram matrix and Smith normal form of the curve-block
+    lattice."""
     gens = [curve(j) for j in range(1, N_BLOCKS + 1) for curve in (curve_a, curve_b)]
     gens += [fractional_generator(i) for i in (1, 2, 3)]
     # curve coordinates only: the L-coefficient of every generator is 0
@@ -187,11 +196,12 @@ def build_k3():
     # curve coordinates only: prepend a zero L-coefficient
     rows = [(0,) + row for row in basis]
     gram = tuple(_pairings(0, n, rows) for n in rows)
-    factors, _, _ = snf([list(r) for r in gram])
+    factors, u, v = snf([list(r) for r in gram])
     det = prod(factors)
     if det != 27:
         raise AssertionError(f"curve-block lattice has discriminant {det}, not 27")
-    return K3Lattice(basis, gram)
+    return K3Lattice(basis, gram, tuple(factors),
+                     tuple(map(tuple, u)), tuple(map(tuple, v)))
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +296,52 @@ def gluing_class(L2):
 _GLUED_CASES = {0: CASE_ZERO_MOD18, 6: CASE_SIX_MOD18, 12: CASE_TWELVE_MOD18}
 
 
+@lru_cache(maxsize=None)
+def _case_template(extra):
+    """What NSModel needs that depends only on the case, that is on the
+    class `extra` (L or the gluing class) joined to K.
+
+    NS meets L-perp in K, so by uniqueness of the HNF rows 1..18 of the
+    basis are K's and only row 0 is reduced.  Only row 0 pairs with L, so
+    the Gram matrix is G = [[g00, t], [t^T, K]] and only g00 depends on L^2.
+    With U_K K V_K = diag(f), diag(1, U_K) G diag(1, V_K) is
+    [[g00, a], [b^T, diag(f)]] for a = t V_K, b = t U_K^T.  Clearing a_i and
+    b_i against each unit f_i leaves a unit diagonal and the block
+    [[g00 - sum a_i b_i, a_J], [b_J^T, diag(f_J)]] on the other indices J,
+    so G and the block share their non-unit invariant factors, and a row
+    of the block's U lifts to one of G's as a row vector times `lift`.
+
+    Returns (basis, GF(3) echelon, rows 1..18 of G, the block less g00, lift).
+    """
+    k3 = build_k3()
+    h, _ = hnf([list(extra.num)] + [[0] + list(r) for r in k3.basis])
+    if len(hnf_pivots(h)) != DIM:
+        raise AssertionError("Neron-Severi basis must have rank 19")
+    basis = tuple(tuple(r) for r in h)
+    t = _pairings(0, basis[0], basis[1:])
+    a = vec_mat(t, k3.snf_v)
+    b = vec_mat(t, list(zip(*k3.snf_u)))
+    n = k3.factors.count(1)  # the units come first in the divisibility chain
+    rest = range(n, DIM - 1)
+    block = ((-sum(x * y for x, y in zip(a[:n], b[:n])), *a[n:]),)
+    block += tuple((b[i], *(k3.factors[i] if j == i else 0 for j in rest)) for i in rest)
+    row0 = vec_mat(a[:n], k3.snf_u[:n])
+    lift = ((1, *(-x for x in row0)),) + tuple((0,) + r for r in k3.snf_u[n:])
+    lower = tuple((t[i],) + k3.gram[i] for i in range(DIM - 1))
+    return basis, gf3_echelon(basis), lower, block, lift
+
+
 class NSModel:
     """Immutable model of the rank-19 Neron-Severi lattice for a given L^2.
 
-    For L^2 = 2 mod 6 the lattice is Z*L plus the curve-block lattice; for
+    For L^2 = 2 mod 6 the lattice is Z*L plus the curve-block lattice K; for
     L^2 = 0 mod 6 an extra gluing class (L + v)/3 is adjoined, giving an
-    index-3 overlattice.  All queries are pure, so instances can be shared
-    freely across threads or processes.
+    index-3 overlattice.  The basis, and all of the Gram matrix but its
+    corner g00, depend only on the case and are built once per case
+    (_case_template); per L^2 the model pairs row 0 with the basis and
+    takes the Smith normal form of a 4 x 4 block instead of the 19 x 19
+    Gram matrix.  All queries are pure, so instances can be shared freely
+    across threads or processes.
     """
 
     def __init__(self, L2):
@@ -306,35 +355,27 @@ class NSModel:
             self.case = _GLUED_CASES[L2 % 18]
             self.gluing = gluing_class(L2)
 
-        # NS meets L-perp in K, so by uniqueness of the HNF rows 1..18 are
-        # K's basis and only row 0, from L or the gluing class, is reduced
-        k3 = build_k3()
         extra = L_class() if self.gluing is None else self.gluing
-        h, _ = hnf([list(extra.num)] + [[0] + list(r) for r in k3.basis])
-        if len(hnf_pivots(h)) != DIM:
-            raise AssertionError("Neron-Severi basis must have rank 19")
-        self.basis = tuple(tuple(r) for r in h)
-
-        # only row 0 pairs with L, so K's Gram fills the rest
+        self.basis, self._mod3, lower, block, lift = _case_template(extra)
         top = _pairings(L2, self.basis[0], self.basis)
-        self.gram = (top,) + tuple(
-            (top[i],) + k3.gram[i - 1] for i in range(1, DIM))
+        self.gram = (top,) + lower
         for i in range(DIM):
             if self.gram[i][i] % 2:
                 raise AssertionError("lattice is not even")
 
-        factors, u, _ = snf([list(r) for r in self.gram])
+        factors, u, _ = snf([[block[0][0] + top[0], *block[0][1:]]]
+                            + [list(r) for r in block[1:]])
         det = prod(factors)
         expected = 27 * L2 if self.case == CASE_TWO_MOD6 else 3 * L2
         if det != expected:
             raise AssertionError(f"discriminant {det} != {expected}")
+        # the same non-unit factors, in the same order, as the SNF of G
         self.disc_factors = tuple(f for f in factors if f != 1)
-        # Row i of u, divided by factors[i], lifts a generator of the cyclic
-        # piece Z/factors[i] of the discriminant group (in basis coordinates).
+        # Row i of the block's U, lifted to the basis and divided by
+        # factors[i], lifts a generator of the cyclic piece Z/factors[i] of
+        # the discriminant group (in basis coordinates).
         self.disc_transform_rows = tuple(
-            (factors[i], tuple(u[i])) for i in range(DIM) if factors[i] != 1)
-
-        self._mod3 = gf3_echelon(self.basis)
+            (f, tuple(vec_mat(u[i], lift))) for i, f in enumerate(factors) if f != 1)
 
     # -- membership -------------------------------------------------------
 
@@ -354,8 +395,8 @@ class NSModel:
     # -- pairing ----------------------------------------------------------
 
     def pairing(self, c, d):
-        """Exact intersection number; an integer on lattice classes."""
-        return pairing_of(self.L2, c, d)
+        """Intersection number of two lattice classes, an integer (asserted)."""
+        return _pairing(self.L2, c.num, d.num)
 
     def square(self, c):
         return self.pairing(c, c)

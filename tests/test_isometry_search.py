@@ -10,6 +10,8 @@ from genkummer.exact_linalg import (
     _small_totients,
     charpoly,
     identity_matrix,
+    snf,
+    vec_mat,
 )
 from genkummer.isometry_search import (
     BlockDivisibilitySet,
@@ -17,9 +19,11 @@ from genkummer.isometry_search import (
     _backtrack,
     _block_set,
     _candidate_matrix,
+    _common_sign,
     _disc_sign,
     _divisibility_words,
     _m_coords,
+    _self_maps,
     _word_candidates,
     NotAConfiguration,
     WrongPolarization,
@@ -210,6 +214,38 @@ def test_coset_search_matches_the_enumeration_below_1000():
             if _searched(ns, target) != _enumerated(ns, target):
                 mismatches.append(L2)
     assert mismatches == []
+
+
+def _disc_sign_mismatches(bound):
+    """The L^2 <= bound where _disc_sign, read through the model's lifts,
+    differs from the sign read through lifts from the Smith normal form of
+    the 19 x 19 Gram matrix.  The maps are the Stab / H representatives
+    onto the standard configuration and the maps accepted onto the
+    replacement configuration."""
+    mismatches = []
+    for L2 in admissible_values(2, bound):
+        ns = build_ns(L2)
+        factors, u, _ = snf([list(r) for r in ns.gram])
+        lifts = [(d, row) for d, row in zip(factors, u) if d != 1]
+        source = standard_config(ns)
+        _, stab_reps, _, _ = _self_maps(ns, _divisibility_words(ns, source))
+        l_source = orthogonal_generator(ns, source)
+        maps = [_candidate_matrix(l_source, source, *g) for g in stab_reps]
+        if not pell.is_square(6 * L2):
+            result = search(ns, source, replacement_config(ns))
+            maps += [[list(r) for r in c.matrix] for c in result.accepted]
+        for mtilde in maps:
+            x = basis_matrix(ns, mtilde)
+            oracle = _common_sign((d, row, vec_mat(row, x)) for d, row in lifts)
+            if _disc_sign(ns, x) != oracle:
+                mismatches.append(L2)
+    return mismatches
+
+
+@pytest.mark.parametrize("bound", [
+    299, pytest.param(2000, marks=pytest.mark.slow)])
+def test_disc_sign_matches_the_full_smith_form(bound):
+    assert _disc_sign_mismatches(bound) == []
 
 
 @pytest.mark.parametrize("L2, cosets", [(8, (1, 48)), (24, (12, 4)),

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from genkummer.exact_linalg import det_bareiss, hnf
+from genkummer.exact_linalg import det_bareiss, hnf, snf, vec_mat
 from genkummer.isometry_search import _divisibility_words, standard_config
 from genkummer.ns_lattice import (
     CASE_SIX_MOD18,
@@ -120,7 +120,12 @@ def _ns_from_all_generators(L2):
     if L2 % 6 == 0:
         gens.append(gluing_class(L2))
     h, _ = hnf([list(c.num) for c in gens])
-    basis = tuple(tuple(r) for r in h[:19])
+    return _with_gram(L2, h[:19])
+
+
+def _with_gram(L2, rows):
+    """The basis rows with all 361 pairings, each checked integral."""
+    basis = tuple(tuple(r) for r in rows)
     gram = []
     for n in basis:
         nine = [pairing_times_nine(L2, n, m) for m in basis]
@@ -137,6 +142,25 @@ def test_ns_model_matches_the_generator_hnf(bound):
         if L2 % 6 in (0, 2):
             ns = build_ns(L2)
             assert (ns.basis, ns.gram) == _ns_from_all_generators(L2), L2
+
+
+def test_case_template_matches_the_19_row_hnf():
+    # per L^2 the model takes a 4 x 4 Smith form of a case template; the
+    # direct path is the HNF of 19 rows (L or the gluing class over K's
+    # rows), all pairings, and the Smith form of the 19 x 19 Gram matrix
+    k3_rows = [[0] + list(r) for r in build_k3().basis]
+    for L2 in range(2, 2001):
+        if L2 % 6 not in (0, 2):
+            continue
+        ns = build_ns(L2)
+        extra = L_class() if L2 % 6 == 2 else gluing_class(L2)
+        h, _ = hnf([list(extra.num)] + k3_rows)
+        assert (ns.basis, ns.gram) == _with_gram(L2, h), L2
+        factors, _, _ = snf([list(r) for r in ns.gram])
+        assert ns.disc_factors == tuple(f for f in factors if f != 1), L2
+        assert [d for d, _ in ns.disc_transform_rows] == list(ns.disc_factors)
+        for d, u in ns.disc_transform_rows:
+            assert all(x % d == 0 for x in vec_mat(u, ns.gram)), L2
 
 
 def test_ns20_discriminant_group():
