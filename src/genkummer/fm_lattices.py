@@ -47,14 +47,6 @@ class FMModel:
     nu: int               # pullback of L_X equals nu * L_A
     la: tuple             # coefficients of L_A on g_1..g_4
 
-    @property
-    def gram_abelian(self):
-        return GRAM_ABELIAN
-
-    @property
-    def gram_surface(self):
-        return GRAM_SURFACE
-
     def to_json_dict(self):
         return {
             "polarization": list(self.polarization),
@@ -81,10 +73,7 @@ def build(polarization):
     n = tuple(int(x) for x in polarization)
     if len(n) != 4:
         raise InvalidPolarization("need four coefficients")
-    g = 0
-    for x in n:
-        g = gcd(g, x)
-    if g != 1:
+    if gcd(*n) != 1:
         raise InvalidPolarization("coefficients must be coprime")
     lx2 = _form(GRAM_SURFACE, n, n)
     if lx2 == 0:

@@ -11,7 +11,7 @@ and there is no automorphism carrying the standard configuration to the new
 one exactly when x0 is not +-1 modulo 2t (respectively 2k).
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from functools import lru_cache, partial
 
 from . import pell
@@ -25,13 +25,9 @@ from .ns_lattice import (
 )
 
 
-class HypothesisViolated(ValueError):
-    """A standing hypothesis of the construction fails (6*L^2 is a square)."""
-
-
-class NoPellSolution(HypothesisViolated):
-    """The relevant Pell equation is unsolvable, so no alternate
-    configuration exists."""
+class NoPellSolution(ValueError):
+    """The relevant Pell equation is unsolvable (6*L^2 is a square), so no
+    alternate configuration exists."""
 
 
 def _pell_modulus(ns):
@@ -103,13 +99,6 @@ class HypothesisFlags:
     irreducibility_ok: bool
     swapped_A1_B1: bool
 
-    def to_json_dict(self):
-        return {
-            "six_L2_nonsquare": self.six_L2_nonsquare,
-            "irreducibility_ok": self.irreducibility_ok,
-            "swapped_A1_B1": self.swapped_A1_B1,
-        }
-
 
 def check_hypotheses(ns):
     """Evaluate the hypotheses guarding irreducibility of the new curve.
@@ -145,21 +134,21 @@ def resolve_swap(ns):
     return (fund.x0 - fund.y0) % 3 == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DecisionReport:
-    """Per-polarization verdict of the modular criterion."""
+    """Verdict of the modular criterion; the defaults describe a no-Pell row."""
 
     L2: int
     case: str
-    pell: object            # PellFundamental or None
-    b1prime: object         # DivisorClass or None
-    lprime: object          # DivisorClass or None
+    pell: object = None     # PellFundamental
+    b1prime: object = None  # DivisorClass
+    lprime: object = None   # DivisorClass
     modulus: int
-    residue: object         # x0 mod modulus, or None
+    residue: object = None  # x0 mod modulus
     hypotheses: HypothesisFlags
-    criterion_ok: bool
-    criterion_only: bool
-    two_structures: bool
+    criterion_ok: bool = False
+    criterion_only: bool = False
+    two_structures: bool = False
     # bool once a scan cross-checks the row: whether the search finding no
     # isometry matches criterion_ok
     search_agrees: object = None
@@ -173,7 +162,7 @@ class DecisionReport:
             "y0": str(self.pell.y0) if self.pell else None,
             "modulus": self.modulus,
             "residue": str(self.residue) if self.residue is not None else None,
-            "hypotheses": self.hypotheses.to_json_dict(),
+            "hypotheses": asdict(self.hypotheses),
             "criterion_ok": self.criterion_ok,
             "criterion_only": self.criterion_only,
             "two_structures": self.two_structures,
@@ -228,20 +217,8 @@ def _scan_report(L2, with_search):
     try:
         report = decide(ns)
     except NoPellSolution:
-        return DecisionReport(
-            L2=L2,
-            case=ns.case,
-            pell=None,
-            b1prime=None,
-            lprime=None,
-            modulus=_pell_modulus(ns)[1],
-            residue=None,
-            hypotheses=HypothesisFlags(False, False, False),
-            criterion_ok=False,
-            criterion_only=False,
-            two_structures=False,
-            note="no-pell-solution",
-        )
+        return DecisionReport(L2=L2, case=ns.case, modulus=_pell_modulus(ns)[1],
+                              hypotheses=check_hypotheses(ns), note="no-pell-solution")
     if not with_search:
         return report
     from .isometry_search import replacement_config, search, standard_config
@@ -306,17 +283,6 @@ class RamareEntry:
     def asserts_two_structures(self):
         return (self.identity_ok and self.is_fundamental and self.residue_ok
                 and self.admissible and self.case_matches)
-
-    def to_json_dict(self):
-        return {
-            "k": self.k, "a": self.a, "t": self.t, "L2": self.L2,
-            "identity_ok": self.identity_ok,
-            "is_fundamental": self.is_fundamental,
-            "residue_ok": self.residue_ok,
-            "admissible": self.admissible,
-            "case_matches": self.case_matches,
-            "asserts_two_structures": self.asserts_two_structures,
-        }
 
 
 def ramare_family(k_max):

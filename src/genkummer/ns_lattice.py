@@ -8,12 +8,11 @@ curve coefficients exactly when n_1..n_18 are all divisible by 3.
 
 The curve span is indexed in blocks: coordinate 0 is L, block j occupies
 coordinates 2j-1 (A_j) and 2j (B_j), for j = 1..9.  The block ordering of
-the fractional and dual generators below is a fixed convention that the
+the fractional and gluing patterns below is a fixed convention that the
 isometry search relies on, so it is part of the wire format.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import prod
 
@@ -117,22 +116,10 @@ _FRAC_BLOCKS = (
     {4: 1, 5: 2, 6: 1, 7: 2, 8: 2, 9: 1},
 )
 
-# Representatives generating the discriminant group of that sublattice.
-_DUAL_BLOCKS = (
-    {5: 1, 7: 1, 8: 1},
-    {4: 2, 6: 1, 7: 2, 8: 1},
-    {3: 1, 5: 1, 6: 1},
-)
-
 
 def fractional_generator(i):
     """Generator t_i (i = 1..3) of the curve-block lattice over the curve span."""
     return _block_pattern(_FRAC_BLOCKS[i - 1])
-
-
-def dual_generator(i):
-    """Representative w_i (i = 1..3) of the curve-block discriminant group."""
-    return _block_pattern(_DUAL_BLOCKS[i - 1])
 
 
 def pairing_times_nine(L2, n, m):
@@ -143,12 +130,6 @@ def pairing_times_nine(L2, n, m):
         ap, bp = m[j], m[j + 1]
         total += -2 * a * ap + a * bp + b * ap - 2 * b * bp
     return total
-
-
-def pairing_of(L2, c, d):
-    """Exact rational intersection number of any two classes, the dual
-    generators included; NSModel.pairing is the integer one on NS."""
-    return Fraction(pairing_times_nine(L2, c.num, d.num), 9)
 
 
 # ---------------------------------------------------------------------------
@@ -274,26 +255,24 @@ def _decompose_roots(L2, reps):
 # the full rank-19 lattice
 
 
+# Per L^2 mod 18: the case and the pattern v of the gluing class (L + v)/3,
+# in the representatives w_1 = {5: 1, 7: 1, 8: 1}, w_2 = {4: 2, 6: 1, 7: 2,
+# 8: 1} and w_3 = {3: 1, 5: 1, 6: 1} of the discriminant group of K.
+_GLUING = {
+    0: (CASE_ZERO_MOD18, {5: 1, 7: 1, 8: 1}),                    # w_1
+    6: (CASE_SIX_MOD18, {4: 2, 6: 1, 7: 2, 8: 1}),               # w_2
+    12: (CASE_TWELVE_MOD18, {3: 1, 4: -2, 5: 1, 7: -2, 8: -1}),  # w_3 - w_2
+}
+
+
 def gluing_class(L2):
-    """The index-3 gluing vector (L + v)/3 adjoined in the 0 mod 6 cases."""
-    if L2 % 18 == 0:
-        pattern = dict(_DUAL_BLOCKS[0])
-    elif L2 % 18 == 6:
-        pattern = dict(_DUAL_BLOCKS[1])
-    elif L2 % 18 == 12:
-        pattern = {}
-        for j, c in _DUAL_BLOCKS[2].items():
-            pattern[j] = pattern.get(j, 0) + c
-        for j, c in _DUAL_BLOCKS[1].items():
-            pattern[j] = pattern.get(j, 0) - c
-    else:
+    """The index-3 gluing vector (L + v)/3 adjoined in the 0 mod 6 cases,
+    with v = w_1, w_2 or w_3 - w_2 for L^2 = 0, 6 or 12 mod 18."""
+    if L2 % 18 not in _GLUING:
         raise InvalidPolarization(f"L^2 = {L2} has no gluing vector")
-    num = list(_block_pattern(pattern).num)
+    num = list(_block_pattern(_GLUING[L2 % 18][1]).num)
     num[0] = 1
     return DivisorClass(tuple(num))
-
-
-_GLUED_CASES = {0: CASE_ZERO_MOD18, 6: CASE_SIX_MOD18, 12: CASE_TWELVE_MOD18}
 
 
 @lru_cache(maxsize=None)
@@ -310,6 +289,8 @@ def _case_template(extra):
     [[g00 - sum a_i b_i, a_J], [b_J^T, diag(f_J)]] on the other indices J,
     so G and the block share their non-unit invariant factors, and a row
     of the block's U lifts to one of G's as a row vector times `lift`.
+    Rows 1..18 of G are checked even here, once per case; NSModel checks
+    only g00.
 
     Returns (basis, GF(3) echelon, rows 1..18 of G, the block less g00, lift).
     """
@@ -328,6 +309,8 @@ def _case_template(extra):
     row0 = vec_mat(a[:n], k3.snf_u[:n])
     lift = ((1, *(-x for x in row0)),) + tuple((0,) + r for r in k3.snf_u[n:])
     lower = tuple((t[i],) + k3.gram[i] for i in range(DIM - 1))
+    if any(row[i + 1] % 2 for i, row in enumerate(lower)):
+        raise AssertionError("lattice is not even")
     return basis, gf3_echelon(basis), lower, block, lift
 
 
@@ -338,10 +321,10 @@ class NSModel:
     L^2 = 0 mod 6 an extra gluing class (L + v)/3 is adjoined, giving an
     index-3 overlattice.  The basis, and all of the Gram matrix but its
     corner g00, depend only on the case and are built once per case
-    (_case_template); per L^2 the model pairs row 0 with the basis and
-    takes the Smith normal form of a 4 x 4 block instead of the 19 x 19
-    Gram matrix.  All queries are pure, so instances can be shared freely
-    across threads or processes.
+    (_case_template); per L^2 the model computes only g00 and takes the
+    Smith normal form of a 4 x 4 block instead of the 19 x 19 Gram matrix.
+    All queries are pure, so instances can be shared freely across threads
+    or processes.
     """
 
     def __init__(self, L2):
@@ -349,21 +332,19 @@ class NSModel:
             raise InvalidPolarization(f"L^2 = {L2} must be >= 2 and 0 or 2 mod 6")
         self.L2 = L2
         if L2 % 6 == 2:
-            self.case = CASE_TWO_MOD6
-            self.gluing = None
+            self.case, self.gluing = CASE_TWO_MOD6, None
         else:
-            self.case = _GLUED_CASES[L2 % 18]
-            self.gluing = gluing_class(L2)
+            self.case, self.gluing = _GLUING[L2 % 18][0], gluing_class(L2)
 
         extra = L_class() if self.gluing is None else self.gluing
         self.basis, self._mod3, lower, block, lift = _case_template(extra)
-        top = _pairings(L2, self.basis[0], self.basis)
-        self.gram = (top,) + lower
-        for i in range(DIM):
-            if self.gram[i][i] % 2:
-                raise AssertionError("lattice is not even")
+        # rows 1..18 carry no L, so only g00 depends on L^2
+        g00 = _pairing(L2, self.basis[0], self.basis[0])
+        if g00 % 2:
+            raise AssertionError("lattice is not even")
+        self.gram = ((g00, *(row[0] for row in lower)),) + lower
 
-        factors, u, _ = snf([[block[0][0] + top[0], *block[0][1:]]]
+        factors, u, _ = snf([[block[0][0] + g00, *block[0][1:]]]
                             + [list(r) for r in block[1:]])
         det = prod(factors)
         expected = 27 * L2 if self.case == CASE_TWO_MOD6 else 3 * L2

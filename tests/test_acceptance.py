@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from dual_lattice import dual_generator, pairing_of
 from genkummer import pell
 from genkummer.exact_linalg import det_bareiss
 from genkummer.fm_lattices import build as fm_build
@@ -34,9 +35,7 @@ from genkummer.ns_lattice import (
     build_ns,
     curve_a,
     curve_b,
-    dual_generator,
     fractional_generator,
-    pairing_of,
 )
 
 PUBLISHED = [20, 44, 68, 84, 92, 104, 110, 116, 120,

@@ -5,7 +5,6 @@ import pytest
 from genkummer import kummer_structures, ns_lattice, pell
 from genkummer.kummer_structures import (
     pell_data,
-    HypothesisViolated,
     NoPellSolution,
     admissible_values,
     check_hypotheses,
@@ -41,7 +40,7 @@ def test_construct_twenty():
 def test_construct_unsolvable():
     with pytest.raises(NoPellSolution):
         construct(build_ns(6))
-    with pytest.raises(HypothesisViolated):
+    with pytest.raises(NoPellSolution):
         construct(build_ns(24))
 
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from dual_lattice import dual_generator, pairing_of
 from genkummer.exact_linalg import det_bareiss, hnf, snf, vec_mat
 from genkummer.isometry_search import _divisibility_words, standard_config
 from genkummer.ns_lattice import (
@@ -21,10 +22,8 @@ from genkummer.ns_lattice import (
     curve_a,
     curve_b,
     curve_sum,
-    dual_generator,
     fractional_generator,
     gluing_class,
-    pairing_of,
     pairing_times_nine,
 )
 
@@ -186,6 +185,20 @@ def test_gluing_class_membership_by_case():
     explicit = DivisorClass(tuple(
         (L_class() + 3 * w2).num[i] // 3 for i in range(19)))
     assert explicit.num == glue24.num
+
+
+@pytest.mark.parametrize("L2", [18, 24, 30])
+def test_gluing_table_by_residue(L2):
+    # the gluing class is (L + 3v)/3 for v = w_1, w_2 or w_3 - w_2, and it
+    # lies in its own case's NS and in neither of the other two
+    w1, w2, w3 = (dual_generator(i) for i in (1, 2, 3))
+    v = {18: w1, 24: w2, 30: w3 - w2}[L2]
+    scaled = (L_class() + 3 * v).num
+    assert all(x % 3 == 0 for x in scaled)
+    glue = gluing_class(L2)
+    assert glue.num == tuple(x // 3 for x in scaled)
+    for other in (18, 24, 30):
+        assert build_ns(other).contains(glue) == (other == L2), other
 
 
 def test_membership_basics():
