@@ -149,6 +149,21 @@ def cmd_fm(args):
     return _emit_json(model.to_json_dict(), args)
 
 
+# name, integer positionals, help text, handler
+_COMMANDS = (
+    ("pell", ("D",), "fundamental Pell solution for D", cmd_pell),
+    ("ns", ("L2",), "Neron-Severi model for L^2", cmd_ns),
+    ("decide", ("L2",), "two-structures criterion for L^2", cmd_decide),
+    ("scan", ("L2_min", "L2_max"), "criterion table over a range of L^2",
+     cmd_scan),
+    ("search", ("L2",), "isometry search between the two configurations",
+     cmd_search),
+    ("aut20", (), "polarized automorphism group for L^2=20", cmd_aut20),
+    ("fm", ("n1", "n2", "n3", "n4"),
+     "rank-4 pushforward/pullback lattice report", cmd_fm),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -179,45 +194,14 @@ def _build_parser():
                      parents=[root_common])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("pell", parents=[sub_common],
-                       help="fundamental Pell solution for D")
-    p.add_argument("D", type=int)
-    p.set_defaults(func=cmd_pell)
-
-    p = sub.add_parser("ns", parents=[sub_common],
-                       help="Neron-Severi model for L^2")
-    p.add_argument("L2", type=int)
-    p.set_defaults(func=cmd_ns)
-
-    p = sub.add_parser("decide", parents=[sub_common],
-                       help="two-structures criterion for L^2")
-    p.add_argument("L2", type=int)
-    p.set_defaults(func=cmd_decide)
-
-    p = sub.add_parser("scan", parents=[sub_common],
-                       help="criterion table over a range of L^2")
-    p.add_argument("L2_min", type=int)
-    p.add_argument("L2_max", type=int)
-    p.add_argument("--with-search", action="store_true",
-                   help="cross-check each row with the isometry search")
-    p.set_defaults(func=cmd_scan)
-
-    p = sub.add_parser("search", parents=[sub_common],
-                       help="isometry search between the two configurations")
-    p.add_argument("L2", type=int)
-    p.set_defaults(func=cmd_search)
-
-    p = sub.add_parser("aut20", parents=[sub_common],
-                       help="polarized automorphism group for L^2=20")
-    p.set_defaults(func=cmd_aut20)
-
-    p = sub.add_parser("fm", parents=[sub_common],
-                       help="rank-4 pushforward/pullback lattice report")
-    p.add_argument("n1", type=int)
-    p.add_argument("n2", type=int)
-    p.add_argument("n3", type=int)
-    p.add_argument("n4", type=int)
-    p.set_defaults(func=cmd_fm)
+    for name, positionals, help_text, func in _COMMANDS:
+        p = sub.add_parser(name, parents=[sub_common], help=help_text)
+        for dest in positionals:
+            p.add_argument(dest, type=int)
+        if name == "scan":
+            p.add_argument("--with-search", action="store_true",
+                           help="cross-check each row with the isometry search")
+        p.set_defaults(func=func)
     return parser
 
 

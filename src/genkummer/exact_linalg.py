@@ -524,29 +524,20 @@ def charpoly(mat):
 # multiplicative order
 
 
-def _totient(n):
-    result = n
-    p = 2
-    m = n
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1
-    if m > 1:
-        result -= result // m
-    return result
-
-
 @lru_cache(maxsize=None)
 def _small_totients(n):
     """(d, phi(d)) for every d with phi(d) <= n, ascending in d.
 
-    phi(d) >= sqrt(d/2), so every such d is at most 2*n^2.
+    phi(d) >= sqrt(d/2), so every such d is at most 2*n^2; phi is sieved up
+    to that bound, each prime p scaling its multiples by (1 - 1/p).
     """
-    return tuple((d, phi) for d in range(1, 2 * n * n + 1)
-                 if (phi := _totient(d)) <= n)
+    top = 2 * n * n
+    phi = list(range(top + 1))
+    for p in range(2, top + 1):
+        if phi[p] == p:   # untouched by a smaller prime, so p is prime
+            for m in range(p, top + 1, p):
+                phi[m] -= phi[m] // p
+    return tuple((d, phi[d]) for d in range(1, top + 1) if phi[d] <= n)
 
 
 @lru_cache(maxsize=None)

@@ -81,17 +81,15 @@ def build(polarization):
     if lx2 % 6 not in (0, 2):
         raise AssertionError("square of a primitive class must be 0 or 2 mod 6")
 
-    comp = mat_mul([list(r) for r in PUSH], [list(r) for r in PULL])
-    if comp != [[3 if i == j else 0 for j in range(4)] for i in range(4)]:
-        raise AssertionError("pullback then pushforward must be times 3")
-    comp = mat_mul([list(r) for r in PULL], [list(r) for r in PUSH])
-    if comp != [[3 if i == j else 0 for j in range(4)] for i in range(4)]:
-        raise AssertionError("pushforward then pullback must be times 3")
+    times_3 = [[3 if i == j else 0 for j in range(4)] for i in range(4)]
+    for first, then in ((PUSH, PULL), (PULL, PUSH)):
+        if mat_mul(first, then) != times_3:
+            raise AssertionError("pushforward and pullback must compose to "
+                                 "times 3")
     for i in range(4):
         for j in range(4):
-            pi = vec_mat([1 if k == i else 0 for k in range(4)], PUSH)
-            pj = vec_mat([1 if k == j else 0 for k in range(4)], PUSH)
-            if _form(GRAM_SURFACE, pi, pj) != 3 * GRAM_ABELIAN[i][j]:
+            # row i of PUSH is the image of g_i
+            if _form(GRAM_SURFACE, PUSH[i], PUSH[j]) != 3 * GRAM_ABELIAN[i][j]:
                 raise AssertionError("pushforward must scale the form by 3")
     if abs(det_bareiss([list(r) for r in PUSH])) != 3:
         raise AssertionError("pushforward image must have index 3")

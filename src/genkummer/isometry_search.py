@@ -34,7 +34,7 @@ from the shared HNF solver).  Maps of this shape preserve ample classes.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, gcd
+from math import factorial
 
 from .exact_linalg import (
     gf3_kernel,
@@ -617,27 +617,6 @@ class AutD2Group:
         }
 
 
-def _partner(i):
-    return (i + 18) % 36
-
-
-def _perm_order(perm):
-    n = len(perm)
-    seen = [False] * n
-    order = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        order = order * length // gcd(order, length)
-    return order
-
-
 def compute_aut_d2(ns):
     """Polarized automorphism group of the degree-2 model for L^2 = 20.
 
@@ -645,49 +624,47 @@ def compute_aut_d2(ns):
     the degree-2 class sends mirror pairs to mirror pairs, so it is a block
     permutation combined with an optional global mirror swap; both halves
     are enumerated with the pruned configuration search (never a 36! scan),
-    filtered by integrality and the +-identity discriminant action, and the
-    group structure is identified from the multiplication table.
+    filtered by integrality and the +-identity discriminant action.  One
+    Cayley table then checks closure and gives the element orders, the
+    center and the group structure.
     """
     cfg = d2_configuration(ns)
     source = standard_config(ns)
     mirror_config = tuple(zip(cfg.e, cfg.f))
 
-    elements = []
-    for mirrored, target in ((False, source), (True, mirror_config)):
+    pairs = []
+    for shift, target in ((0, source), (18, mirror_config)):
         for cand in search(ns, source, target).accepted:
             perm = [None] * 36
-            for k in range(9):
-                block = cand.sigma[k] - 1
-                first, second = (block, 9 + block)
-                if mirrored:
-                    first, second = (18 + block, 27 + block)
+            for k, block in enumerate(cand.sigma):
+                first, second = shift + block - 1, shift + block + 8
                 if cand.swaps[k]:
                     first, second = second, first
                 perm[k] = first
                 perm[9 + k] = second
             for v in range(18):
-                perm[_partner(v)] = _partner(perm[v])
-            elements.append(AutElement(
-                perm=tuple(perm),
-                disc_sign=cand.disc_sign,
-                order=_perm_order(perm),
-            ))
+                perm[v + 18] = (perm[v] + 18) % 36   # the mirror partner
+            pairs.append((tuple(perm), cand.disc_sign))
+    pairs.sort()
 
-    elements.sort(key=lambda el: el.perm)
-    index = {el.perm: i for i, el in enumerate(elements)}
+    index = {perm: i for i, (perm, _) in enumerate(pairs)}
+    table = [[index.get(tuple(p[x] for x in q)) for q, _ in pairs]
+             for p, _ in pairs]
+    if any(None in row for row in table):
+        raise AssertionError("group is not closed under composition")
+    # a finite set of permutations closed under composition is a group, so
+    # it holds the identity, and stepping through g, g^2, ... reaches it
+    identity = index[tuple(range(36))]
 
-    def compose(p, q):
-        return tuple(p[q[x]] for x in range(36))
+    def order(i):
+        k, power = 1, i
+        while power != identity:
+            k, power = k + 1, table[power][i]
+        return k
 
+    elements = [AutElement(perm=perm, disc_sign=sign, order=order(i))
+                for i, (perm, sign) in enumerate(pairs)]
     n = len(elements)
-    table = [[None] * n for _ in range(n)]
-    for i, gi in enumerate(elements):
-        for j, gj in enumerate(elements):
-            prod = compose(gi.perm, gj.perm)
-            if prod not in index:
-                raise AssertionError("group is not closed under composition")
-            table[i][j] = index[prod]
-
     center = tuple(i for i in range(n)
                    if all(table[i][j] == table[j][i] for j in range(n)))
     mirror = tuple(list(range(18, 36)) + list(range(18)))

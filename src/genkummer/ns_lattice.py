@@ -53,9 +53,10 @@ class DivisorClass:
     num: tuple
 
     def __post_init__(self):
-        if len(self.num) != DIM:
-            raise ValueError(f"divisor class needs {DIM} numerators")
-        object.__setattr__(self, "num", tuple(int(x) for x in self.num))
+        num = tuple(self.num)
+        if len(num) != DIM or any(type(x) is not int for x in num):
+            raise ValueError(f"divisor class needs {DIM} integer numerators")
+        object.__setattr__(self, "num", num)
 
     def __add__(self, other):
         return DivisorClass(tuple(a + b for a, b in zip(self.num, other.num)))
@@ -432,17 +433,11 @@ class NSModel:
         if self.square(d) <= 0:
             raise ValueError("orthogonal root system needs d^2 > 0")
         rows, sub_gram = self._complement(delta)
-        sols = enumerate_norm_vectors(sub_gram, -2)
-        reps = []
-        for k in range(0, len(sols), 2):
-            y = vec_mat(sols[k], rows)
-            reps.append(self.class_from_coords(y))
-        roots = []
-        for rep in reps:
-            roots.append(rep)
-            roots.append(-rep)
-        components = _decompose_roots(self.L2, reps)
-        return RootSystem(tuple(roots), components)
+        # the solutions come in pairs +-v with the representative first
+        reps = [self.class_from_coords(vec_mat(v, rows))
+                for v in enumerate_norm_vectors(sub_gram, -2)[::2]]
+        roots = tuple(c for rep in reps for c in (rep, -rep))
+        return RootSystem(roots, _decompose_roots(self.L2, reps))
 
     # -- serialization ------------------------------------------------------
 

@@ -113,6 +113,20 @@ def test_usage_errors(capsys):
     assert run(["--format", "csv", "decide", "20"]) == 1
     capsys.readouterr()
     assert run(["scan", "30", "8"]) == 1
+    capsys.readouterr()
+    # --with-search belongs to scan only, and positionals are integers
+    assert run(["search", "20", "--with-search"]) == 1
+    capsys.readouterr()
+    assert run(["ns", "x"]) == 1
+    capsys.readouterr()
+    assert run(["fm", "1", "1", "1", "x"]) == 1
+
+
+@pytest.mark.parametrize("command", [
+    "pell", "ns", "decide", "scan", "search", "aut20", "fm"])
+def test_every_command_has_help(command, capsys):
+    assert run([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: genkummer {command} ")
 
 
 @pytest.mark.parametrize("argv", [["pell", "120"], ["scan", "8", "20"]])

@@ -1,7 +1,7 @@
 import itertools
 from fractions import Fraction
 from functools import reduce
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -12,6 +12,7 @@ from genkummer.exact_linalg import (
     SingularMatrix,
     _ldl_integral,
     _lll_reduce_gram,
+    _small_totients,
     charpoly,
     det_bareiss,
     enumerate_norm_vectors,
@@ -675,3 +676,14 @@ def test_matrix_order_matches_sympy(m):
 def test_matrix_order_of_conjugated_signed_permutations(case):
     m, order = case
     assert matrix_order(m) == order == _sympy_order(m)
+
+
+def test_small_totients_match_a_counted_phi():
+    # phi(d) = #{1 <= k <= d : gcd(k, d) = 1}, counted on twice the range
+    # the sieve covers, so a d with phi(d) <= n beyond 2 n^2 would show
+    top = 4 * 20 ** 2
+    phi = [0] + [sum(gcd(k, d) == 1 for k in range(1, d + 1))
+                 for d in range(1, top + 1)]
+    for n in range(1, 21):
+        assert _small_totients(n) == tuple(
+            (d, phi[d]) for d in range(1, top + 1) if phi[d] <= n)

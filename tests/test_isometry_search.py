@@ -1,5 +1,5 @@
 from collections import Counter
-from math import factorial
+from math import factorial, lcm
 
 import pytest
 
@@ -456,3 +456,25 @@ def test_aut_d2_group():
     assert grp.orbit_b1 == tuple(list(range(9, 18)) + list(range(27, 36)))
     plus = [e for e in grp.elements if e.disc_sign == 1]
     assert len(plus) == 18
+
+
+def _cycle_lcm(perm):
+    order, seen = 1, set()
+    for start in range(len(perm)):
+        length, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+            length += 1
+        if length:
+            order = lcm(order, length)
+    return order
+
+
+def test_aut_d2_orders_are_the_lcm_of_the_cycle_lengths():
+    # the orders come from the Cayley table; the cycle structure of each
+    # permutation is an independent reference
+    grp = compute_aut_d2(build_ns(20))
+    assert tuple(range(36)) in {e.perm for e in grp.elements}
+    assert [e.order for e in grp.elements] == [
+        _cycle_lcm(e.perm) for e in grp.elements]

@@ -418,6 +418,17 @@ def test_root_system_of_ample_class_is_empty():
     assert rs.components == ()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: 0.5 * curve_a(1),
+    lambda: DivisorClass((Fraction(7, 3),) + (0,) * 18),
+    lambda: DivisorClass((0,) * 18),
+], ids=["float_multiple", "fraction_numerator", "eighteen_numerators"])
+def test_divisor_class_needs_19_integer_numerators(make):
+    # exactness: a fractional numerator is an error, not truncated to int
+    with pytest.raises(ValueError):
+        make()
+
+
 def test_root_system_requires_positive_square():
     ns = build_ns(20)
     with pytest.raises(ValueError):
