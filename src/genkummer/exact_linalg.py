@@ -577,13 +577,21 @@ def matrix_order(mat):
     Returns an int when the matrix has finite order (verified by exact
     powering), "infinite" otherwise.  The eigenvalues of a finite-order
     matrix are roots of unity, so |trace| > n already means "infinite",
-    decided without the characteristic polynomial.  Past that bound, finite
-    order forces the characteristic polynomial to be a product of cyclotomic
-    polynomials; when it is, the only possible order is the lcm of their
-    indices.
+    decided without the characteristic polynomial.  Past that bound, M^2 =
+    I means order 2, or 1 when the trace is n (all eigenvalues +1); M^2 has
+    finite order whenever M does, so |trace M^2| > n means "infinite".
+    Past both, finite order forces the characteristic polynomial to be a
+    product of cyclotomic polynomials; when it is, the only possible order
+    is the lcm of their indices.
     """
     n = len(mat)
-    if abs(sum(mat[i][i] for i in range(n))) > n:
+    trace = sum(mat[i][i] for i in range(n))
+    if abs(trace) > n:
+        return "infinite"
+    square = mat_mul(mat, mat)
+    if square == identity_matrix(n):
+        return 1 if trace == n else 2
+    if abs(sum(square[i][i] for i in range(n))) > n:
         return "infinite"
     poly = charpoly(mat)
     indices = []

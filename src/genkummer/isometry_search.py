@@ -28,8 +28,9 @@ and the self-maps fix L, so H is the kernel of Stab -> O(A_K) for every L^2
 (Nikulin 1979, discriminant forms); for 0 mod 6 this is measured (every
 admissible L^2 < 1000, in the tests).  Each search checks that H's
 generators act by +1 and raises AssertionError if not.  Only accepted maps
-get a 19 x 19 matrix, re-checked by the reference path (basis coordinates
-from the shared HNF solver).  Maps of this shape preserve ample classes.
+get a 19 x 19 matrix, re-checked by the reference path (its own sparse
+back-substitution, and one Gram matrix of the target's rows per search).
+Maps of this shape preserve ample classes.
 """
 
 from dataclasses import dataclass
@@ -263,26 +264,53 @@ def _m_coords(c):
     return [x // 3 for x in c.num]
 
 
-def _candidate_matrix(l_target, target, sigma, swaps):
-    """Rows: image of L, then images of A_1, B_1, ..., A_9, B_9."""
-    rows = [_m_coords(l_target)]
+def _target_rows(l_target, target):
+    """Q-basis coordinates of the image of L, then of the target's classes
+    C_1, D_1, ..., C_9, D_9: every candidate matrix's rows are a selection
+    of these 19."""
+    return [_m_coords(l_target)] + [_m_coords(c) for pair in target for c in pair]
+
+
+def _row_selection(sigma, swaps):
+    """Indices into _target_rows of a candidate matrix's rows: the image of
+    L, then the images of A_1, B_1, ..., A_9, B_9."""
+    sel = [0]
     for k in range(N_BLOCKS):
-        c, d = target[sigma[k] - 1]
-        first, second = (d, c) if swaps[k] else (c, d)
-        rows.append(_m_coords(first))
-        rows.append(_m_coords(second))
-    return rows
+        c = 2 * sigma[k] - 1   # C of the target block, D follows it
+        sel += (c + 1, c) if swaps[k] else (c, c + 1)
+    return sel
+
+
+@lru_cache(maxsize=None)
+def _sparse_basis(basis):
+    # an NS basis is a rank-19 row HNF: row i has its pivot in column i
+    return tuple(_sparse(r) for r in basis)
 
 
 def basis_matrix(ns, mtilde):
     """Matrix of the map on the lattice basis, or None when the map does not
     preserve the lattice.  Form-preserving maps have determinant +-1, so
-    integrality of this matrix is the whole of the preservation condition."""
+    integrality of this matrix is the whole of the preservation condition.
+    It back-substitutes through the basis's sparse rows, not solve_hnf: it
+    is the reference path that re-checks the verdicts, so it shares no
+    solver with them."""
+    brows = _sparse_basis(ns.basis)
+    mrows = [_sparse(r) for r in mtilde]
     x_mat = []
-    for row in ns.basis:
-        x = solve_hnf(ns.basis, range(DIM), vec_mat(row, mtilde))
-        if x is None:
-            return None
+    for row in brows:
+        rem = [0] * DIM
+        for i, b in row:
+            for j, m in mrows[i]:
+                rem[j] += b * m
+        x = [0] * DIM
+        for i, pivot_row in enumerate(brows):
+            if rem[i]:
+                q, r = divmod(rem[i], pivot_row[0][1])
+                if r:
+                    return None
+                x[i] = q
+                for j, b in pivot_row:
+                    rem[j] -= q * b
         x_mat.append(x)
     return x_mat
 
@@ -319,12 +347,22 @@ def _q_basis_gram(L2):
                        for j in range(DIM)) for i in range(DIM))
 
 
-def _is_isometry(L2, mtilde):
-    """True when the rows (images of the Q-basis) pair with each other as
-    the Q-basis vectors themselves do."""
+def _target_gram(L2, rows):
+    """Gram matrix (times nine) of the 19 rows of _target_rows."""
+    gram = [[0] * DIM for _ in range(DIM)]
+    for i in range(DIM):
+        for j in range(i, DIM):
+            gram[i][j] = gram[j][i] = pairing_times_nine(L2, rows[i], rows[j])
+    return gram
+
+
+def _is_isometry(L2, target_gram, sel):
+    """True when the candidate matrix with rows sel of _target_rows (images
+    of the Q-basis) pairs as the Q-basis itself does: all 190 entries of
+    the target Gram, read through the selection."""
     gram = _q_basis_gram(L2)
-    return all(pairing_times_nine(L2, mtilde[i], mtilde[j]) == gram[i][j]
-               for i in range(DIM) for j in range(i, DIM))
+    return all(target_gram[a][sel[j]] == gram[i][j]
+               for i, a in enumerate(sel) for j in range(i, DIM))
 
 
 def _sparse(num):
@@ -517,16 +555,20 @@ def search(ns, source, target):
     first = next(_word_candidates(src_words, tgt_words, sigmas), None)
     cosets = [_compose(first, r) for r in g_reps] if first else []
     p = next((c for c in cosets if check.verdict(*c)[0]), None)
-    accepted = []
+    accepted, rows = [], None
     for q in stab_reps if p else ():
         pq = _compose(p, q)
         _, sign = check.verdict(*pq)
         for sigma, swaps in (_compose(pq, x) for x in h) if sign else ():
-            mtilde = _candidate_matrix(check.l_target, target, sigma, swaps)
+            if rows is None:   # built here, so a search that accepts nothing skips it
+                rows = _target_rows(check.l_target, target)
+                gram = _target_gram(ns.L2, rows)
+            sel = _row_selection(sigma, swaps)
+            mtilde = [rows[i] for i in sel]
             x_mat = basis_matrix(ns, mtilde)
             if x_mat is None or _disc_sign(ns, x_mat) != sign:
                 raise AssertionError("matrix-free verdict disagrees with the basis matrix")
-            if not _is_isometry(ns.L2, mtilde):
+            if not _is_isometry(ns.L2, gram, sel):
                 raise AssertionError("accepted candidate must preserve the form")
             accepted.append(IsometryCandidate(
                 sigma, swaps, tuple(map(tuple, mtilde)), disc_sign=sign))
@@ -725,7 +767,8 @@ def classify_order(candidate):
     square integer matrix): an int, or "infinite"; see matrix_order.
 
     Most accepted 19 x 19 maps have |trace| > 19 and are decided infinite
-    by the trace bound alone; the rest go through the characteristic
+    by the trace bound alone, and most of the rest by M^2 (involutions, or
+    |trace M^2| > 19); the few left go through the characteristic
     polynomial and exact powering.
     """
     mat = candidate.matrix if isinstance(candidate, IsometryCandidate) else candidate

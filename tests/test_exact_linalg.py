@@ -562,6 +562,27 @@ def test_matrix_order_past_the_bound_skips_the_charpoly(monkeypatch):
         assert matrix_order(m) == "infinite"
 
 
+def test_matrix_order_decides_by_the_square_without_the_charpoly(monkeypatch):
+    # |trace M| <= n in each case; M^2 = I gives 1 or 2, |trace M^2| > n
+    # gives "infinite", and neither reaches the characteristic polynomial
+    def no_charpoly(mat):
+        raise AssertionError("charpoly called where M^2 decides")
+
+    monkeypatch.setattr(exact_linalg, "charpoly", no_charpoly)
+    n = 19
+    assert matrix_order(identity_matrix(n)) == 1
+    assert matrix_order([[-x for x in row] for row in identity_matrix(n)]) == 2
+    # a signed involution D conjugated by a unimodular U
+    d = [[0, 1, 0], [1, 0, 0], [0, 0, -1]]
+    u, u_inv = [[1, 2, 0], [0, 1, 3], [0, 0, 1]], [[1, -2, 6], [0, 1, -3], [0, 0, 1]]
+    assert mat_mul(u, u_inv) == identity_matrix(3)
+    m = mat_mul(mat_mul(u, d), u_inv)
+    assert m != d and abs(sum(m[i][i] for i in range(3))) <= 3
+    assert matrix_order(m) == 2
+    # Fibonacci: trace 1 <= 2, trace of the square 3 > 2
+    assert matrix_order([[1, 1], [1, 0]]) == "infinite"
+
+
 # ---------------------------------------------------------------------------
 # differential checks against sympy
 

@@ -11,6 +11,7 @@ from genkummer.exact_linalg import (
     charpoly,
     identity_matrix,
     snf,
+    solve_hnf,
     vec_mat,
 )
 from genkummer.isometry_search import (
@@ -18,12 +19,16 @@ from genkummer.isometry_search import (
     _MatrixFreeFilter,
     _backtrack,
     _block_set,
-    _candidate_matrix,
     _common_sign,
     _disc_sign,
     _divisibility_words,
+    _is_isometry,
     _m_coords,
+    _q_basis_gram,
+    _row_selection,
     _self_maps,
+    _target_gram,
+    _target_rows,
     _word_candidates,
     NotAConfiguration,
     WrongPolarization,
@@ -40,7 +45,46 @@ from genkummer.isometry_search import (
     validate_config,
 )
 from genkummer.kummer_structures import admissible_values, construct
-from genkummer.ns_lattice import DIM, DivisorClass, L_class, build_ns, curve_a, curve_b
+from genkummer.ns_lattice import (
+    DIM,
+    DivisorClass,
+    L_class,
+    N_BLOCKS,
+    build_ns,
+    curve_a,
+    curve_b,
+    pairing_times_nine,
+)
+
+
+def _candidate_matrix(l_target, target, sigma, swaps):
+    """Reference candidate matrix, built class by class. Rows: image of L,
+    then images of A_1, B_1, ..., A_9, B_9."""
+    rows = [_m_coords(l_target)]
+    for k in range(N_BLOCKS):
+        c, d = target[sigma[k] - 1]
+        first, second = (d, c) if swaps[k] else (c, d)
+        rows.append(_m_coords(first))
+        rows.append(_m_coords(second))
+    return rows
+
+
+def _pairwise_isometry(L2, mtilde):
+    """Reference form check: pair the 19 rows with each other one by one."""
+    gram = _q_basis_gram(L2)
+    return all(pairing_times_nine(L2, mtilde[i], mtilde[j]) == gram[i][j]
+               for i in range(DIM) for j in range(i, DIM))
+
+
+def _dense_basis_matrix(ns, mtilde):
+    """Reference basis matrix: dense products and the shared HNF solver."""
+    x_mat = []
+    for row in ns.basis:
+        x = solve_hnf(ns.basis, range(DIM), vec_mat(row, mtilde))
+        if x is None:
+            return None
+        x_mat.append(x)
+    return x_mat
 
 
 def test_block_sets_standard():
@@ -372,6 +416,74 @@ def test_accepted_candidates_satisfy_invariants():
             once = [sum(urow[i] * x[i][j] for i in range(DIM)) for j in range(DIM)]
             twice = [sum(once[i] * x[i][j] for i in range(DIM)) for j in range(DIM)]
             assert all((a - b) % d == 0 for a, b in zip(twice, urow))
+
+
+def _accepted_searches(bound):
+    """(ns, target, accepted maps) for every admissible L^2 <= bound with a
+    Pell solution and maps accepted onto the replacement configuration."""
+    for L2 in admissible_values(2, bound):
+        ns = build_ns(L2)
+        for target in _targets(ns)[1:]:
+            accepted = search(ns, standard_config(ns), target).accepted
+            if accepted:
+                yield ns, target, accepted
+
+
+def test_is_isometry_matches_the_pairwise_check():
+    # every accepted map, L^2 < 200: the target Gram read through the row
+    # selection against the 190 pairings of the matrix's rows; with the
+    # image of L swapped with A_1's, or A_1's crossed with A_2's, both fail
+    checked = 0
+    for ns, target, accepted in _accepted_searches(199):
+        l_target = orthogonal_generator(ns, target)
+        rows = _target_rows(l_target, target)
+        gram = _target_gram(ns.L2, rows)
+        for cand in accepted:
+            sel = _row_selection(cand.sigma, cand.swaps)
+            mtilde = _candidate_matrix(l_target, target, cand.sigma, cand.swaps)
+            assert [rows[i] for i in sel] == mtilde == [list(r) for r in cand.matrix]
+            assert _is_isometry(ns.L2, gram, sel)
+            assert _pairwise_isometry(ns.L2, mtilde)
+            for a, b in ((0, 1), (1, 3)):
+                bad = list(sel)
+                bad[a], bad[b] = bad[b], bad[a]
+                assert not _is_isometry(ns.L2, gram, bad)
+                assert not _pairwise_isometry(ns.L2, [rows[i] for i in bad])
+            checked += 1
+    assert checked > 0
+
+
+@pytest.mark.parametrize("L2", [20, 24, 30, 36])
+def test_basis_matrix_matches_the_dense_solve_on_the_self_maps(L2):
+    # all 864 self-maps of the standard configuration, one L^2 per case:
+    # every one preserves NS for 2 mod 6, most leave it otherwise (None)
+    ns = build_ns(L2)
+    source = standard_config(ns)
+    words = _divisibility_words(ns, source)
+    sigmas = prune(_block_set(words), _block_set(words))
+    group = list(_word_candidates(words, words, sigmas))
+    assert len(group) == 864
+    l_source = orthogonal_generator(ns, source)
+    left = 0
+    for g in group:
+        mtilde = _candidate_matrix(l_source, source, *g)
+        x_mat = basis_matrix(ns, mtilde)
+        assert x_mat == _dense_basis_matrix(ns, mtilde), g
+        left += x_mat is None
+    assert left == {20: 0, 24: 864 - 72, 30: 864 - 144, 36: 864 - 108}[L2]
+
+
+def test_basis_matrix_matches_the_dense_solve_on_the_accepted_maps():
+    # every accepted map, L^2 < 300, all four cases among them
+    cases = set()
+    for ns, _, accepted in _accepted_searches(299):
+        for cand in accepted:
+            mtilde = [list(r) for r in cand.matrix]
+            x_mat = basis_matrix(ns, mtilde)
+            assert x_mat is not None
+            assert x_mat == _dense_basis_matrix(ns, mtilde), (ns.L2, cand.sigma)
+        cases.add(ns.case)
+    assert len(cases) == 4
 
 
 def test_candidate_serialization():
