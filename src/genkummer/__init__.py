@@ -20,9 +20,7 @@ from .kummer_structures import (  # noqa: F401
     construct,
     check_hypotheses,
     decide,
-    ramare_family,
     scan,
-    verify_uniqueness,
 )
 from .isometry_search import (  # noqa: F401
     block_sets,

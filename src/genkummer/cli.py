@@ -70,6 +70,8 @@ def cmd_pell(args):
         return _emit_json({"D": args.D, "error": "perfect square"}, args,
                           EXIT_DOMAIN)
     except ValueError as exc:
+        if args.D >= 2:   # D < 2 is the user's error, anything else ours
+            raise
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     return _emit_json({"D": args.D, "x0": str(fund.x0), "y0": str(fund.y0)}, args)
@@ -89,17 +91,8 @@ def cmd_decide(args):
 
 
 def _scan_row(report):
-    agrees = report.search_agrees
-    return {
-        "L2": str(report.L2),
-        "case": report.case,
-        "x0": str(report.pell.x0) if report.pell else "",
-        "y0": str(report.pell.y0) if report.pell else "",
-        "modulus": str(report.modulus),
-        "residue": str(report.residue) if report.residue is not None else "",
-        "two_structures": str(report.two_structures),
-        "search_agrees": "" if agrees is None else str(agrees),
-    }
+    blob = report.to_json_dict()
+    return {k: "" if blob[k] is None else str(blob[k]) for k in SCAN_COLUMNS}
 
 
 def cmd_scan(args):
@@ -141,11 +134,7 @@ def cmd_aut20(args):
 
 
 def cmd_fm(args):
-    try:
-        model = fm_build((args.n1, args.n2, args.n3, args.n4))
-    except FMInvalidPolarization as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+    model = fm_build((args.n1, args.n2, args.n3, args.n4))
     return _emit_json(model.to_json_dict(), args)
 
 
@@ -219,9 +208,12 @@ def run(argv=None):
         return EXIT_USAGE
     if args.format is None:
         args.format = "csv" if args.command == "scan" else "json"
+    # argv was parsed under the str(int) digit cap; x0 can be far longer
+    cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except InvalidPolarization as exc:
+    except (InvalidPolarization, FMInvalidPolarization) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except NoPellSolution as exc:
@@ -230,6 +222,8 @@ def run(argv=None):
     except (ValueError, AssertionError) as exc:
         sys.stderr.write(f"error: internal: {exc}\n")
         return EXIT_INTERNAL
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def main(argv=None):

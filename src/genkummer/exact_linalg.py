@@ -1,9 +1,8 @@
-"""Exact integer/rational linear algebra, short-vector enumeration, and the
+"""Exact integer linear algebra, short-vector enumeration, and the
 characteristic polynomial and multiplicative order of integer matrices.
 
 Matrices are plain lists of rows; entries are Python ints (arbitrary
-precision) or, in the generic helpers, fractions from the caller.  Nothing
-here ever touches a float.  The short-vector layer is integer only: LLL and
+precision).  Nothing here ever touches a float.  The short-vector layer is integer only: LLL and
 Fincke-Pohst read one fraction-free LDL decomposition, every bound of the
 enumeration is an exact integer, and every division is exact.
 """

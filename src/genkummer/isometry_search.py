@@ -341,10 +341,8 @@ def _common_sign(images):
 
 @lru_cache(maxsize=1)
 def _q_basis_gram(L2):
-    """Gram matrix of the Q-basis (L, A_1, B_1, ..., A_9, B_9)."""
-    unit = identity_matrix(DIM)
-    return tuple(tuple(pairing_times_nine(L2, unit[i], unit[j])
-                       for j in range(DIM)) for i in range(DIM))
+    """Gram matrix (times nine) of the Q-basis (L, A_1, B_1, ..., A_9, B_9)."""
+    return _target_gram(L2, identity_matrix(DIM))
 
 
 def _target_gram(L2, rows):
@@ -374,18 +372,19 @@ class _MatrixFreeFilter:
     target configuration, from the images of a few classes instead of the
     19 x 19 matrix.
 
-    A candidate sends the Q-basis vector in row i of _candidate_matrix to
-    (1/3) times the numerators of a target class, so a class with numerators
-    n goes to the class with numerators (1/9) sum_i n_i * target_i.  The
-    target numerators are kept sparse: in a replacement configuration only
-    L's image and block 1 are dense.
+    A candidate sends the Q-basis vector i to (1/3) times the numerators of
+    the target class in row _row_selection(sigma, swaps)[i] of _target_rows,
+    so a class with numerators n goes to the class with numerators
+    (1/9) sum_i n_i * target_i.  The target numerators are kept sparse: in
+    a replacement configuration only L's image and block 1 are dense.
     """
 
     def __init__(self, ns, target):
         self.ns = ns
         self.l_target = orthogonal_generator(ns, target)
-        self._l_row = _sparse(self.l_target.num)
-        self._blocks = tuple((_sparse(c.num), _sparse(d.num)) for c, d in target)
+        # numerators of L's image and the target classes, in _target_rows order
+        self._targets = tuple(_sparse(c.num) for c in (
+            self.l_target, *(c for pair in target for c in pair)))
         # L and the curves go into NS by construction, so these generate NS
         # over what the map is already known to preserve
         glue = [fractional_generator(i) for i in (1, 2, 3)]
@@ -395,13 +394,6 @@ class _MatrixFreeFilter:
         # lifts u * basis of the discriminant generators, as numerators
         self._lifts = tuple((d, urow, _sparse(vec_mat(urow, ns.basis)))
                             for d, urow in ns.disc_transform_rows)
-
-    def _rows(self, sigma, swaps):
-        rows = [self._l_row]
-        for k in range(N_BLOCKS):
-            c, d = self._blocks[sigma[k] - 1]
-            rows.extend((d, c) if swaps[k] else (c, d))
-        return rows
 
     @staticmethod
     def _image(rows, terms):
@@ -419,7 +411,7 @@ class _MatrixFreeFilter:
     def verdict(self, sigma, swaps):
         """(integral, sign): whether the map preserves NS, and then its
         discriminant sign, +1 or -1, or None when it acts by neither."""
-        rows = self._rows(sigma, swaps)
+        rows = [self._targets[i] for i in _row_selection(sigma, swaps)]
         for terms in self._glue:
             img = self._image(rows, terms)
             if img is None or not self.ns.contains_numerators(img):
@@ -599,10 +591,6 @@ class D2Configuration:
     b: tuple
     e: tuple
     f: tuple
-
-    @property
-    def classes(self):
-        return self.a + self.b + self.e + self.f
 
 
 def d2_configuration(ns):

@@ -248,68 +248,3 @@ def scan(L2_min, L2_max, jobs=1, with_search=False):
             return pool.map(row, values)
     return [row(L2) for L2 in values]
 
-
-def verify_uniqueness(ns, n):
-    """Check that later Pell solutions only give reducible replacements.
-
-    For the next n solutions (x, y) past the fundamental one, the analogous
-    class built from (x, y) must have strictly negative intersection with
-    the fundamental replacement class, so it cannot be an irreducible curve.
-    """
-    fund = pell_data(ns)
-    b1p, _ = construct(ns)
-    sol = (fund.x0, fund.y0)
-    for _ in range(n):
-        sol = pell.next_solution(fund, sol)
-        cand = _b1_class(ns, *sol, curve_a(1), curve_b(1))
-        if ns.pairing(cand, b1p) >= 0:
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class RamareEntry:
-    k: int
-    a: int
-    t: int
-    L2: int
-    identity_ok: bool
-    is_fundamental: bool
-    residue_ok: bool
-    admissible: bool
-    case_matches: bool
-
-    @property
-    def asserts_two_structures(self):
-        return (self.identity_ok and self.is_fundamental and self.residue_ok
-                and self.admissible and self.case_matches)
-
-
-def ramare_family(k_max):
-    """The infinite family a = 8 + 12k, t = 6 + 17k + 12k^2.
-
-    For every k the pair (2a+1, 2) solves x^2 - 12t y^2 = 1, is fundamental,
-    and has 2a+1 != +-1 mod 2t.  Entries whose polarization 2t is not 0 or 2
-    mod 6 are flagged inadmissible rather than asserted; likewise entries
-    with t = 0 mod 3, where the equation above is not the one attached to
-    the 0 mod 6 construction.
-    """
-    entries = []
-    for k in range(k_max + 1):
-        a = 8 + 12 * k
-        t = 6 + 17 * k + 12 * k * k
-        x, y = 2 * a + 1, 2
-        identity_ok = (a * a + a == 12 * t) and (x * x - 12 * t * y * y == 1)
-        fund = pell.fundamental_solution(12 * t)
-        is_fundamental = (fund.x0, fund.y0) == (x, y)
-        residue = x % (2 * t)
-        residue_ok = residue not in (1, 2 * t - 1)
-        entries.append(RamareEntry(
-            k=k, a=a, t=t, L2=2 * t,
-            identity_ok=identity_ok,
-            is_fundamental=is_fundamental,
-            residue_ok=residue_ok,
-            admissible=(2 * t) % 6 in (0, 2),
-            case_matches=t % 3 == 1,
-        ))
-    return entries

@@ -61,10 +61,3 @@ def fundamental_solution(D):
         q, q_prev = a * q + q_prev, q
     return PellFundamental(D, p, q)
 
-
-def next_solution(fund, solution):
-    """Step (x, y) -> (x0*x + D*y0*y, x0*y + y0*x) along the solution group."""
-    x, y = solution
-    if x * x - fund.D * y * y != 1:
-        raise InvalidSolution("input does not satisfy the Pell equation")
-    return (fund.x0 * x + fund.D * fund.y0 * y, fund.x0 * y + fund.y0 * x)

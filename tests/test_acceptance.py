@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from dual_lattice import dual_generator, pairing_of
+from families import ramare_family
 from genkummer import pell
 from genkummer.exact_linalg import det_bareiss
 from genkummer.fm_lattices import build as fm_build
@@ -27,7 +28,6 @@ from genkummer.kummer_structures import (
     admissible_values,
     construct,
     decide,
-    ramare_family,
     scan,
 )
 from genkummer.ns_lattice import (

@@ -1,9 +1,10 @@
 import csv
 import json
+import sys
 
 import pytest
 
-from genkummer import cli
+from genkummer import cli, pell
 from genkummer.cli import run
 from genkummer.exact_linalg import IndefiniteForm, SingularMatrix
 from genkummer.isometry_search import NotAConfiguration
@@ -177,11 +178,46 @@ def test_scan_with_search_covers_zero_mod_18(capsys):
 ])
 def test_internal_errors_exit_three(exc, capsys, monkeypatch):
     # a broken invariant must not share an exit code with bad user input
-    def fail(ns):
+    def fail(arg):
         raise exc
 
     monkeypatch.setattr(cli, "decide", fail)
-    assert run(["decide", "20"]) == cli.EXIT_INTERNAL == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: internal: {exc}\n"
+    monkeypatch.setattr(pell, "fundamental_solution", fail)
+    for argv in (["decide", "20"], ["pell", "120"]):
+        assert run(argv) == cli.EXIT_INTERNAL == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: internal: {exc}\n"
+
+
+def test_pell_below_two_is_a_usage_error(capsys):
+    assert run(["pell", "1"]) == 1
+    assert capsys.readouterr().err == "error: D must be at least 2\n"
+
+
+def test_long_pell_solutions_pass_the_digit_cap(capsys):
+    # x0 has 1,021 digits at L^2 = 992246 (D = 6 L^2 = 5953476); run lifts
+    # the interpreter's str(int) cap while a command runs, and only then
+    cap = sys.get_int_max_str_digits()
+    outputs = []
+    try:
+        sys.set_int_max_str_digits(640)
+        for argv in (["decide", "992246"], ["scan", "992246", "992246"],
+                     ["pell", "5953476"]):
+            assert run(argv) == 0, argv
+            outputs.append(capsys.readouterr().out)
+            assert sys.get_int_max_str_digits() == 640
+        assert run(["ns", "2" * 700]) == 1
+    finally:
+        sys.set_int_max_str_digits(cap)
+    decided = json.loads(outputs[0])
+    row, = csv.DictReader(outputs[1].splitlines())
+    pelled = json.loads(outputs[2])
+    for blob in (decided, row, pelled):
+        x0, y0 = int(blob["x0"]), int(blob["y0"])
+        assert x0 * x0 - 5953476 * y0 * y0 == 1
+        assert len(blob["x0"]) == 1021
+    # a 4,301-digit argv integer is still refused under the default cap
+    if cap:
+        capsys.readouterr()
+        assert run(["ns", "2" * (cap + 1)]) == 1

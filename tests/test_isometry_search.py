@@ -546,7 +546,7 @@ def test_d2_configuration_values():
     assert ns.pairing(cfg.e[0], cfg.f[0]) == 1
     assert ns.pairing(cfg.e[0], cfg.b[0]) == 0
     assert ns.pairing(cfg.e[0], cfg.a[0]) == 3
-    for c in cfg.classes:
+    for c in cfg.a + cfg.b + cfg.e + cfg.f:
         assert ns.pairing(cfg.d2, c) == 1
     with pytest.raises(WrongPolarization):
         d2_configuration(build_ns(8))

@@ -2,6 +2,7 @@ import multiprocessing
 
 import pytest
 
+from families import ramare_family, verify_uniqueness
 from genkummer import kummer_structures, ns_lattice, pell
 from genkummer.kummer_structures import (
     pell_data,
@@ -10,10 +11,8 @@ from genkummer.kummer_structures import (
     check_hypotheses,
     construct,
     decide,
-    ramare_family,
     resolve_swap,
     scan,
-    verify_uniqueness,
 )
 from genkummer.ns_lattice import NSModel, L_class, build_ns, curve_a, curve_b
 

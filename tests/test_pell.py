@@ -3,13 +3,13 @@ from math import gcd, isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from families import next_solution
 from genkummer.pell import (
     InvalidSolution,
     NoSolution,
     PellFundamental,
     fundamental_solution,
     is_square,
-    next_solution,
 )
 
 
