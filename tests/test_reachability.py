@@ -100,10 +100,11 @@ def test_every_function_runs_on_a_command_or_benchmark_path(tmp_path):
 
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        [str(PACKAGE_DIR.parent)] + env.get("PYTHONPATH", "").split(os.pathsep))
+        [str(PACKAGE_DIR.parent), *filter(None, env.get("PYTHONPATH", "").split(os.pathsep))])
     out = tmp_path / "reached.json"
-    subprocess.run([sys.executable, __file__, str(out)], env=env, check=True,
-                   capture_output=True)
+    proc = subprocess.run([sys.executable, __file__, str(out)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
     reached = {tuple(f) for f in json.loads(out.read_text())}
     missed = sorted(f for f in defined - reached if f[:2] not in ALLOWED)
     assert missed == [], missed
