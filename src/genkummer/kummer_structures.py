@@ -11,17 +11,17 @@ and there is no automorphism carrying the standard configuration to the new
 one exactly when x0 is not +-1 modulo 2t (respectively 2k).
 """
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache, partial
 
 from . import pell
 from .ns_lattice import (
     CASE_TWO_MOD6,
     CASE_ZERO_MOD18,
-    L_class,
+    DIM,
+    DivisorClass,
     build_ns,
-    curve_a,
-    curve_b,
+    pairing_times_nine,
 )
 
 
@@ -57,16 +57,6 @@ def pell_data(ns):
     return _fundamental_solution(d)
 
 
-def _b1_class(ns, x, y, a, b):
-    """The class c*y*L - ((x+1)/2 * a + x * b) built from a Pell solution
-    (x, y), checked to have square -2 and pairing 1 with a."""
-    _, _, c = _pell_modulus(ns)
-    cls = (c * y) * L_class() - (((x + 1) // 2) * a + x * b)
-    if ns.square(cls) != -2 or ns.pairing(cls, a) != 1:
-        raise AssertionError("replacement class fails its defining relations")
-    return cls
-
-
 def construct(ns, swap=False):
     """Build the replacement curve class and the new orthogonal generator.
 
@@ -74,18 +64,28 @@ def construct(ns, swap=False):
     replacing B_1, and lp generates the orthogonal complement of the new
     configuration {A_1, b1p, A_2, B_2, ..., A_9, B_9}.  With swap=True the
     roles of A_1 and B_1 are exchanged throughout.
+
+    From the Pell solution (x0, y0), b1p = c*y0*L - ((x0+1)/2*A + x0*B) and
+    lp = x0*L - m*y0*(A + 2B) for (A, B) = (A_1, B_1), or (B_1, A_1) with
+    swap.  The Gram matrix of (L, A, B), [[L^2, 0, 0], [0, -2, 1], [0, 1, -2]],
+    is the same either way, so the relations (b1p.A = 1 also says x0 is odd)
+    are checked on numerator triples.
     """
     fund = pell_data(ns)
     x0, y0 = fund.x0, fund.y0
-    if x0 % 2 == 0:
-        raise AssertionError("x0 must be odd for these discriminants")
-    _, m, _ = _pell_modulus(ns)
-    a_cls, b_cls = (curve_b(1), curve_a(1)) if swap else (curve_a(1), curve_b(1))
-    b1p = _b1_class(ns, x0, y0, a_cls, b_cls)
-    lp = x0 * L_class() - (m * y0) * (a_cls + 2 * b_cls)
-    if (ns.square(lp) != ns.L2 or ns.pairing(lp, a_cls) != 0
-            or ns.pairing(lp, b1p) != 0 or ns.pairing(lp, L_class()) <= 0):
+    _, m, c = _pell_modulus(ns)
+    form = partial(pairing_times_nine, ns.L2)
+    L, a = (3, 0, 0), (0, 3, 0)
+    b1p = (3 * c * y0, -3 * ((x0 + 1) // 2), -3 * x0)
+    lp = (3 * x0, -3 * m * y0, -6 * m * y0)
+    if form(b1p, b1p) != -18 or form(b1p, a) != 9:
+        raise AssertionError("replacement class fails its defining relations")
+    if (form(lp, lp) != 9 * ns.L2 or form(lp, a) != 0
+            or form(lp, b1p) != 0 or form(lp, L) <= 0):
         raise AssertionError("new orthogonal generator fails its relations")
+    order = (0, 2, 1) if swap else (0, 1, 2)
+    b1p, lp = (DivisorClass(tuple(u[i] for i in order) + (0,) * (DIM - 3))
+               for u in (b1p, lp))
     if not (ns.contains(b1p) and ns.contains(lp)):
         raise AssertionError("constructed classes must lie in the lattice")
     return b1p, lp
@@ -162,7 +162,7 @@ class DecisionReport:
             "y0": str(self.pell.y0) if self.pell else None,
             "modulus": self.modulus,
             "residue": str(self.residue) if self.residue is not None else None,
-            "hypotheses": asdict(self.hypotheses),
+            "hypotheses": dict(vars(self.hypotheses)),
             "criterion_ok": self.criterion_ok,
             "criterion_only": self.criterion_only,
             "two_structures": self.two_structures,
@@ -237,13 +237,17 @@ def scan(L2_min, L2_max, jobs=1, with_search=False):
     search_agrees says whether finding no isometry matches criterion_ok
     (which equals two_structures outside 0 mod 18).  jobs > 1 computes the
     rows across processes, at most one per row; the result does not depend
-    on jobs.
+    on jobs.  The per-case tables (build_k3, _case_template) are built
+    before the pool starts, and the forked workers inherit them.
     """
     values = admissible_values(L2_min, L2_max)
     row = partial(_scan_report, with_search=with_search)
     if jobs > 1 and len(values) >= 2:
         from multiprocessing import Pool
 
+        # any six consecutive admissible L^2 meet every case of the range
+        for L2 in values[:6]:
+            build_ns(L2)
         with Pool(min(jobs, len(values))) as pool:
             return pool.map(row, values)
     return [row(L2) for L2 in values]

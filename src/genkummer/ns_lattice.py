@@ -62,7 +62,7 @@ class DivisorClass:
         return DivisorClass(tuple(a + b for a, b in zip(self.num, other.num)))
 
     def __sub__(self, other):
-        return DivisorClass(tuple(a - b for a, b in zip(self.num, other.num)))
+        return self + -other
 
     def __neg__(self):
         return DivisorClass(tuple(-a for a in self.num))
@@ -124,9 +124,10 @@ def fractional_generator(i):
 
 
 def pairing_times_nine(L2, n, m):
-    """9 * (intersection number), an integer for any two numerator vectors."""
+    """9 * (intersection number), an integer for any two numerator vectors;
+    shorter ones of one odd length are classes on (L, A_1, B_1, ...)."""
     total = L2 * n[0] * m[0]
-    for j in range(1, DIM, 2):
+    for j in range(1, len(n), 2):
         a, b = n[j], n[j + 1]
         ap, bp = m[j], m[j + 1]
         total += -2 * a * ap + a * bp + b * ap - 2 * b * bp

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from itertools import count, islice
 
 from genkummer import pell
-from genkummer.kummer_structures import _b1_class, construct, pell_data
-from genkummer.ns_lattice import curve_a, curve_b
+from genkummer.kummer_structures import _pell_modulus, construct, pell_data
+from genkummer.ns_lattice import L_class, curve_a, curve_b
 
 # name: (whether x is a member, L^2 of the member x)
 Y0_ONE_FAMILIES = {
@@ -52,6 +52,16 @@ def next_solution(fund, solution):
     return (fund.x0 * x + fund.D * fund.y0 * y, fund.x0 * y + fund.y0 * x)
 
 
+def b1_class(ns, x, y, a, b):
+    """The class c*y*L - ((x+1)/2 * a + x * b) built from a Pell solution
+    (x, y), checked to have square -2 and pairing 1 with a."""
+    _, _, c = _pell_modulus(ns)
+    cls = (c * y) * L_class() - (((x + 1) // 2) * a + x * b)
+    if ns.square(cls) != -2 or ns.pairing(cls, a) != 1:
+        raise AssertionError("replacement class fails its defining relations")
+    return cls
+
+
 def verify_uniqueness(ns, n):
     """Check that later Pell solutions only give reducible replacements.
 
@@ -64,7 +74,7 @@ def verify_uniqueness(ns, n):
     sol = (fund.x0, fund.y0)
     for _ in range(n):
         sol = next_solution(fund, sol)
-        cand = _b1_class(ns, *sol, curve_a(1), curve_b(1))
+        cand = b1_class(ns, *sol, curve_a(1), curve_b(1))
         if ns.pairing(cand, b1p) >= 0:
             return False
     return True

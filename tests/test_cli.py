@@ -119,7 +119,10 @@ def test_usage_errors(capsys):
     assert run(["search", "20", "--with-search"]) == 1
     capsys.readouterr()
     assert run(["ns", "x"]) == 1
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    # argparse's message follows the usage line
+    assert err.startswith("usage: genkummer ns ")
+    assert err.endswith("\ngenkummer ns: error: argument L2: invalid int value: 'x'\n")
     assert run(["fm", "1", "1", "1", "x"]) == 1
 
 

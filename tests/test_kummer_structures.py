@@ -1,9 +1,10 @@
 import multiprocessing
+import os
 
 import pytest
 
-from families import ramare_family, verify_uniqueness
-from genkummer import kummer_structures, ns_lattice, pell
+from families import b1_class, ramare_family, verify_uniqueness
+from genkummer import cli, kummer_structures, ns_lattice, pell
 from genkummer.kummer_structures import (
     pell_data,
     NoPellSolution,
@@ -55,6 +56,62 @@ def test_construct_relations_over_small_range():
         assert ns.pairing(lp, curve_a(1)) == 0
         assert ns.pairing(lp, b1p) == 0
         assert ns.pairing(lp, L_class()) > 0
+
+
+def construct_by_classes(ns, swap=False):
+    """The reference for construct: the same classes by DivisorClass
+    arithmetic on all 19 numerators, each relation checked by NSModel."""
+    fund = pell_data(ns)
+    x0, y0 = fund.x0, fund.y0
+    assert x0 % 2 == 1
+    _, m, _ = kummer_structures._pell_modulus(ns)
+    a_cls, b_cls = (curve_b(1), curve_a(1)) if swap else (curve_a(1), curve_b(1))
+    b1p = b1_class(ns, x0, y0, a_cls, b_cls)
+    lp = x0 * L_class() - (m * y0) * (a_cls + 2 * b_cls)
+    assert ns.square(lp) == ns.L2 and ns.pairing(lp, a_cls) == 0
+    assert ns.pairing(lp, b1p) == 0 and ns.pairing(lp, L_class()) > 0
+    assert ns.contains(b1p) and ns.contains(lp)
+    return b1p, lp
+
+
+def test_construct_matches_the_class_arithmetic():
+    for L2 in admissible_values(2, 1999):
+        if pell.is_square(6 * L2):
+            continue
+        ns = build_ns(L2)
+        for swap in (False, True):
+            assert construct(ns, swap=swap) == construct_by_classes(ns, swap=swap), L2
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    # a wrong L-factor c breaks b1p^2 = -2
+    (lambda d, m, c: (d, m, c + 3), "replacement class fails its defining relations"),
+    # D = 3 has x0 = 2: with x0 even, b1p.A_1 = 0
+    (lambda d, m, c: (3, m, c), "replacement class fails its defining relations"),
+    # a wrong modulus m breaks lp^2 = L^2 and lp.b1p = 0
+    (lambda d, m, c: (d, m + 1, c), "new orthogonal generator fails its relations"),
+], ids=["c", "D", "m"])
+def test_a_corrupt_pell_modulus_is_an_internal_error(corrupt, message, monkeypatch,
+                                                      capsys):
+    modulus = kummer_structures._pell_modulus
+    monkeypatch.setattr(kummer_structures, "_pell_modulus",
+                        lambda ns: corrupt(*modulus(ns)))
+    for L2 in (20, 36):
+        with pytest.raises(AssertionError, match=message):
+            construct(build_ns(L2))
+    assert cli.run(["decide", "20"]) == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().err == f"error: internal: {message}\n"
+
+
+def test_a_class_outside_the_lattice_is_an_internal_error(monkeypatch, capsys):
+    # integer combinations of L, A_1 and B_1 lie in NS whatever the Pell
+    # data, so only a broken membership test can fire this check
+    monkeypatch.setattr(NSModel, "contains", lambda self, c: False)
+    with pytest.raises(AssertionError, match="must lie in the lattice"):
+        construct(build_ns(20))
+    assert cli.run(["decide", "20"]) == 3
+    assert capsys.readouterr().err == (
+        "error: internal: constructed classes must lie in the lattice\n")
 
 
 def test_construct_swapped_roles():
@@ -160,6 +217,34 @@ def test_scan_pool_is_bounded_by_the_rows(monkeypatch):
     assert [r.L2 for r in rows] == [8, 12, 14, 18, 20]
     assert scan(8, 198, jobs=3) == scan(8, 198)
     assert sizes == [5, 3]
+
+
+_SCAN_REPORT = kummer_structures._scan_report
+
+
+def _row_and_misses(L2, with_search):
+    """_scan_report's row, with the worker's pid and the cache misses of
+    build_k3 and _case_template that the row caused."""
+    def misses():
+        return (ns_lattice.build_k3.cache_info().misses,
+                ns_lattice._case_template.cache_info().misses)
+
+    before = misses()
+    report = _SCAN_REPORT(L2, with_search)
+    return report, os.getpid(), tuple(b - a for a, b in zip(before, misses()))
+
+
+def test_pool_workers_inherit_the_case_tables(monkeypatch):
+    # 8..30 holds all four cases; the pool forks after scan has built them
+    serial = scan(8, 30)
+    assert len({r.case for r in serial}) == 4
+    ns_lattice.build_k3.cache_clear()
+    ns_lattice._case_template.cache_clear()
+    monkeypatch.setattr(kummer_structures, "_scan_report", _row_and_misses)
+    pooled = scan(8, 30, jobs=2)
+    assert [row for row, _, _ in pooled] == serial
+    assert os.getpid() not in {pid for _, pid, _ in pooled}
+    assert {misses for _, _, misses in pooled} == {(0, 0)}
 
 
 def test_replacement_shares_a_block_with_a1():

@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from families import next_solution
+from genkummer.kummer_structures import _pell_modulus, admissible_values
+from genkummer.ns_lattice import build_ns
 from genkummer.pell import (
     InvalidSolution,
     NoSolution,
@@ -34,6 +36,33 @@ def chakravala(D):
                    abs(a + b * m) // ak,
                    (m * m - D) // k)
     return a, b
+
+
+def convergent_walk(D):
+    """The reference for fundamental_solution: every convergent of sqrt(D)
+    in turn, each squared, until one satisfies x^2 - D*y^2 = 1."""
+    a0 = isqrt(D)
+    m, d, a = 0, 1, a0
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    while p * p - D * q * q != 1:
+        m = d * a - m
+        d = (D - m * m) // d
+        a = (a0 + m) // d
+        p, p_prev = a * p + p_prev, p
+        q, q_prev = a * q + q_prev, q
+    return p, q
+
+
+@pytest.mark.parametrize("bound, step", [
+    (10**4, 1), pytest.param(10**6, 97, marks=pytest.mark.slow)])
+def test_period_end_walk_matches_the_convergent_walk(bound, step):
+    # on the D of every admissible L^2 <= bound (every step-th of them)
+    for L2 in admissible_values(2, bound)[::step]:
+        D, _, _ = _pell_modulus(build_ns(L2))
+        if not is_square(D):
+            f = fundamental_solution(D)
+            assert (f.x0, f.y0) == convergent_walk(D), L2
 
 
 def test_is_square():
