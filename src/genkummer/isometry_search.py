@@ -23,14 +23,15 @@ Stab finds the accepted maps.  |Stab| is 864, 72, 144 or 108 (L^2 = 2 mod 6,
 6, 12, 0 mod 18), |H| = 18: at most 1 + 48 verdicts, and three for H.
 
 Stab reads only the NS basis, one per case; the first search on a basis in
-a process computes it and H from 864 verdicts.  For 2 mod 6, NS = Z*L + K
-and the self-maps fix L, so H is the kernel of Stab -> O(A_K) for every L^2
-(Nikulin 1979, discriminant forms); for 0 mod 6 this is measured (every
-admissible L^2 < 1000, in the tests).  Each search checks that H's
-generators act by +1 and raises AssertionError if not.  Only accepted maps
-get a 19 x 19 matrix, re-checked by the reference path (its own sparse
-back-substitution, and one Gram matrix of the target's rows per search).
-Maps of this shape preserve ample classes.
+a process computes it and H from 864 verdicts, and keeps them with the
+standard configuration's words (its orthogonal generator is L).  For 2 mod
+6, NS = Z*L + K and the self-maps fix L, so H is the kernel of Stab ->
+O(A_K) for every L^2 (Nikulin 1979, discriminant forms); for 0 mod 6 this
+is measured (every admissible L^2 < 1000, in the tests).  Each search
+checks that H's generators act by +1 and raises AssertionError if not.
+Only accepted maps get a 19 x 19 matrix, re-checked by the reference path
+(its own sparse back-substitution, and one Gram matrix of the target's rows
+per search).  Maps of this shape preserve ample classes.
 """
 
 from dataclasses import dataclass
@@ -50,7 +51,6 @@ from .ns_lattice import (
     DivisorClass,
     L_class,
     N_BLOCKS,
-    NotInLattice,
     curve_a,
     curve_b,
     curve_sum,
@@ -91,33 +91,28 @@ def replacement_config(ns):
 
 
 def validate_config(ns, config):
-    """Raise NotAConfiguration unless config is a 9A2 configuration in NS."""
+    """Lattice coordinates of the classes C_1, D_1, ..., C_9, D_9 of config;
+    raise NotAConfiguration unless it is a 9A2 configuration in NS."""
     if len(config) != N_BLOCKS or any(len(pair) != 2 for pair in config):
         raise NotAConfiguration("expected nine pairs of classes")
     flat = [c for pair in config for c in pair]
-    for c in flat:
-        if not ns.contains(c):
-            raise NotAConfiguration("a configuration class is outside NS")
+    coords = [ns.coords(c) for c in flat]
+    if None in coords:
+        raise NotAConfiguration("a configuration class is outside NS")
     for i, c in enumerate(flat):
         for j, d in enumerate(flat):
             want = -2 if i == j else (1 if i // 2 == j // 2 else 0)
             if pairing_times_nine(ns.L2, c.num, d.num) != 9 * want:
                 raise NotAConfiguration(
                     f"classes {i} and {j} pair to the wrong value")
+    return coords
 
 
-def orthogonal_generator(ns, config):
-    """Primitive generator of the orthogonal complement of a configuration,
-    normalized to positive L-coefficient."""
-    try:
-        rows, _ = ns.orthogonal_sublattice(*(c for pair in config for c in pair))
-    except NotInLattice:
-        raise NotAConfiguration("a configuration class is outside NS") from None
-    if len(rows) != 1:
-        raise NotAConfiguration("orthogonal complement must have rank 1")
+def orthogonal_generator(ns, coords):
+    """Primitive generator, with positive L-coefficient, of the orthogonal
+    complement (rank 1) of a configuration's validate_config rows."""
+    rows, _ = ns.complement(coords)
     gen = ns.class_from_coords(rows[0])
-    if gen.num[0] == 0:
-        raise AssertionError("orthogonal generator cannot avoid L")
     return gen if gen.num[0] > 0 else -gen
 
 
@@ -125,14 +120,11 @@ def orthogonal_generator(ns, config):
 # 3-divisibility words
 
 
-def _divisibility_words(ns, config):
-    """All words w in (Z/3)^9 with (1/3) sum_j w_j (C_j - D_j) in NS."""
-    diffs = []
-    for c, d in config:
-        delta = ns.coords(c - d)
-        if delta is None:
-            raise NotAConfiguration("difference class left the lattice")
-        diffs.append(delta)
+def _divisibility_words(coords):
+    """All words w in (Z/3)^9 with (1/3) sum_j w_j (C_j - D_j) in NS, from
+    the validate_config rows of the configuration."""
+    diffs = [[x - y for x, y in zip(coords[2 * k], coords[2 * k + 1])]
+             for k in range(N_BLOCKS)]
     # left kernel of the 9 x 19 matrix of differences, over GF(3)
     basis = gf3_kernel(diffs)
     if len(basis) != 3:
@@ -145,8 +137,6 @@ def _divisibility_words(ns, config):
                     (a1 * basis[0][j] + a2 * basis[1][j] + a3 * basis[2][j]) % 3
                     for j in range(N_BLOCKS))
                 words.add(w)
-    if len(words) != 27:
-        raise NotAConfiguration("expected 27 distinct 3-divisible words")
     return sorted(words)
 
 
@@ -179,8 +169,7 @@ def _block_set(words):
 
 def block_sets(ns, config):
     """Six-block supports of the 3-divisible classes of a configuration."""
-    validate_config(ns, config)
-    return _block_set(_divisibility_words(ns, config))
+    return _block_set(_divisibility_words(validate_config(ns, config)))
 
 
 # ---------------------------------------------------------------------------
@@ -379,9 +368,9 @@ class _MatrixFreeFilter:
     a replacement configuration only L's image and block 1 are dense.
     """
 
-    def __init__(self, ns, target):
+    def __init__(self, ns, l_target, target):
         self.ns = ns
-        self.l_target = orthogonal_generator(ns, target)
+        self.l_target = l_target
         # numerators of L's image and the target classes, in _target_rows order
         self._targets = tuple(_sparse(c.num) for c in (
             self.l_target, *(c for pair in target for c in pair)))
@@ -465,12 +454,8 @@ def _word_candidates(src_words, tgt_words, sigmas):
     The other 3-divisible words need no test here: a map that preserves NS
     sends them to words, and the glue-generator test rejects any map that
     does not preserve NS."""
-    src_nine = [w for w in src_words if len(_support(w)) == 9]
+    c9 = next(w for w in src_words if len(_support(w)) == 9)
     tgt_nine = [w for w in tgt_words if len(_support(w)) == 9]
-    if len(src_nine) != 2 or len(tgt_nine) != 2:
-        raise NotAConfiguration("expected exactly two fully supported words")
-
-    c9 = src_nine[0]
     for sigma in sigmas:
         for w9 in tgt_nine:
             # the fully supported word pins the swap mask up to this choice;
@@ -499,12 +484,15 @@ def _coset_reps(group, subgroup):
 _SELF_MAPS = {}
 
 
-def _self_maps(ns, words):
-    """Representatives of G / Stab and Stab / H, H and generators of H for
-    this NS basis, from 864 verdicts on its first use."""
+def _self_maps(ns):
+    """The standard configuration's 3-divisible words, representatives of
+    G / Stab and Stab / H, H and generators of H for this NS basis, from
+    864 verdicts on its first use."""
     key = (ns.basis, ns.gluing)
     if key not in _SELF_MAPS:
-        check = _MatrixFreeFilter(ns, standard_config(ns))
+        source = standard_config(ns)
+        words = _divisibility_words(validate_config(ns, source))
+        check = _MatrixFreeFilter(ns, L_class(), source)
         sigmas = _automorphisms(_block_set(words))
         group = tuple(_word_candidates(words, words, sigmas))
         verdicts = [check.verdict(*g) for g in group]
@@ -516,7 +504,7 @@ def _self_maps(ns, words):
                 gens.append(x)
                 while more := {_compose(a, g) for a in span for g in gens} - span:
                     span |= more
-        _SELF_MAPS[key] = (_coset_reps(group, stab), _coset_reps(stab, h),
+        _SELF_MAPS[key] = (words, _coset_reps(group, stab), _coset_reps(stab, h),
                            tuple(h), tuple(gens))
     return _SELF_MAPS[key]
 
@@ -529,22 +517,24 @@ def search(ns, source, target):
 
     The candidate maps are built on the Q-basis (L, A_1, B_1, ..., A_9,
     B_9), so the source must be standard_config(ns); any other source
-    raises NotAConfiguration.  One candidate per coset is tested (module
-    docstring); unless H acts by +1 here, AssertionError is raised.
+    raises NotAConfiguration.  Its generator is L and its words are cached
+    per case, so only the target enters NS.  Of the permutations tau o
+    Aut(bl) (prune) only tau is built; one candidate per coset is tested
+    (module docstring); unless H acts by +1 here, AssertionError is raised.
     """
     if tuple(map(tuple, source)) != standard_config(ns):
         raise NotAConfiguration("the source must be the standard configuration")
-    validate_config(ns, target)
-    src_words = _divisibility_words(ns, source)
-    tgt_words = _divisibility_words(ns, target)
-    sigmas = prune(_block_set(src_words), _block_set(tgt_words))
-    g_reps, stab_reps, h, h_gens = _self_maps(ns, src_words)
-    own = _MatrixFreeFilter(ns, source)
+    tgt_coords = validate_config(ns, target)
+    src_words, g_reps, stab_reps, h, h_gens = _self_maps(ns)
+    tgt_words = _divisibility_words(tgt_coords)
+    bl = _block_set(src_words)
+    tau = next(_backtrack(bl, _block_set(tgt_words)), None)
+    own = _MatrixFreeFilter(ns, L_class(), source)
     if any(own.verdict(*g) != (True, 1) for g in h_gens):
         raise AssertionError("a cached self-map does not act by +1 on A_NS")
 
-    check = _MatrixFreeFilter(ns, target)
-    first = next(_word_candidates(src_words, tgt_words, sigmas), None)
+    check = _MatrixFreeFilter(ns, orthogonal_generator(ns, tgt_coords), target)
+    first = next(_word_candidates(src_words, tgt_words, [tau] if tau else []), None)
     cosets = [_compose(first, r) for r in g_reps] if first else []
     p = next((c for c in cosets if check.verdict(*c)[0]), None)
     accepted, rows = [], None
@@ -566,15 +556,16 @@ def search(ns, source, target):
                 sigma, swaps, tuple(map(tuple, mtilde)), disc_sign=sign))
 
     accepted.sort(key=lambda c: (c.sigma, c.swaps))
+    prune_count = len(_automorphisms(bl)) if tau else 0
     integral = len(stab_reps) * len(h) if p else 0
     per_sigma = 2 ** 9
     counts = {
-        "pruned": (factorial(9) - len(sigmas)) * per_sigma,
-        "non_integral": len(sigmas) * per_sigma - integral,
+        "pruned": (factorial(9) - prune_count) * per_sigma,
+        "non_integral": prune_count * per_sigma - integral,
         "disc_fail": integral - len(accepted),
         "accepted": len(accepted),
     }
-    return SearchResult(tuple(accepted), len(sigmas), counts)
+    return SearchResult(tuple(accepted), prune_count, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -751,13 +742,12 @@ def _structure_name(elements, table, center, sigma_index):
 
 
 def classify_order(candidate):
-    """Exact multiplicative order of an accepted candidate's matrix (or of a
-    square integer matrix): an int, or "infinite"; see matrix_order.
+    """Exact multiplicative order of an accepted candidate's matrix: an int,
+    or "infinite"; see matrix_order.
 
     Most accepted 19 x 19 maps have |trace| > 19 and are decided infinite
     by the trace bound alone, and most of the rest by M^2 (involutions, or
     |trace M^2| > 19); the few left go through the characteristic
     polynomial and exact powering.
     """
-    mat = candidate.matrix if isinstance(candidate, IsometryCandidate) else candidate
-    return matrix_order([list(r) for r in mat])
+    return matrix_order([list(r) for r in candidate.matrix])

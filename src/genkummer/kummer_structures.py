@@ -51,10 +51,11 @@ def _fundamental_solution(d):
 def pell_data(ns):
     """Fundamental Pell solution for the lattice, or raise NoPellSolution."""
     d, _, _ = _pell_modulus(ns)
-    if pell.is_square(d):
-        raise NoPellSolution(
-            f"x^2 - {d}*y^2 = 1 has no solution (6*L^2 = {6 * ns.L2} is a square)")
-    return _fundamental_solution(d)
+    try:
+        return _fundamental_solution(d)
+    except pell.NoSolution:
+        raise NoPellSolution(f"x^2 - {d}*y^2 = 1 has no solution "
+                             f"(6*L^2 = {6 * ns.L2} is a square)") from None
 
 
 def construct(ns, swap=False):
@@ -100,6 +101,11 @@ class HypothesisFlags:
     swapped_A1_B1: bool
 
 
+def _flagged(ns, fund):
+    """The case the hypotheses flag: L^2 = 0 mod 18, 3 not dividing y0."""
+    return ns.case == CASE_ZERO_MOD18 and fund.y0 % 3 != 0
+
+
 def check_hypotheses(ns):
     """Evaluate the hypotheses guarding irreducibility of the new curve.
 
@@ -108,30 +114,32 @@ def check_hypotheses(ns):
     construction still works after exchanging A_1 and B_1 where necessary,
     which the swap flag records.
     """
-    if pell.is_square(6 * ns.L2):
+    try:
+        flagged = _flagged(ns, pell_data(ns))
+    except NoPellSolution:
         return HypothesisFlags(False, False, False)
-    fund = pell_data(ns)
-    flagged = ns.case == CASE_ZERO_MOD18 and fund.y0 % 3 != 0
     return HypothesisFlags(True, not flagged, flagged)
 
 
 def resolve_swap(ns):
     """Pick the side of the A_1/B_1 exchange that actually works.
 
-    Outside the flagged case nothing is exchanged.  When L^2 = 0 mod 18 and
-    3 does not divide y0, the complement of lp is the overlattice of the new
-    9A2 cut out by the configuration's 3-divisible words, and each word on
-    three blocks adds 27 roots (Conway-Sloane, SPLAG ch. 4).  All L^2 = 0
-    mod 18 share one NS basis (the gluing class depends only on L^2 mod 18),
-    and mod 3 the block-1 classes of either side depend only on x0 and y0
-    mod 3.  So the words, and with them the side whose complement has only
-    the 54 roots of the nine blocks, depend only on (x0, y0) mod 3: it is
-    the exchanged side exactly when x0 = y0 mod 3.
+    Outside the flagged case, and without a Pell solution, nothing is
+    exchanged.  When L^2 = 0 mod 18 and 3 does not divide y0, the
+    complement of lp is the overlattice of the new 9A2 cut out by the
+    configuration's 3-divisible words, and each word on three blocks adds
+    27 roots (Conway-Sloane, SPLAG ch. 4).  All L^2 = 0 mod 18 share one NS
+    basis (the gluing class depends only on L^2 mod 18), and mod 3 the
+    block-1 classes of either side depend only on x0 and y0 mod 3.  So the
+    words, and with them the side whose complement has only the 54 roots of
+    the nine blocks, depend only on (x0, y0) mod 3: it is the exchanged
+    side exactly when x0 = y0 mod 3.
     """
-    if not check_hypotheses(ns).swapped_A1_B1:
+    try:
+        fund = pell_data(ns)
+    except NoPellSolution:
         return False
-    fund = pell_data(ns)
-    return (fund.x0 - fund.y0) % 3 == 0
+    return _flagged(ns, fund) and (fund.x0 - fund.y0) % 3 == 0
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -400,9 +400,10 @@ class NSModel:
     def orthogonal_sublattice(self, *classes):
         """Basis (in lattice coordinates) and Gram matrix of the sublattice
         orthogonal to every given class."""
-        return self._complement(self._lattice_coords(classes))
+        return self.complement(self._lattice_coords(classes))
 
-    def _complement(self, deltas):
+    def complement(self, deltas):
+        """orthogonal_sublattice() of classes given in lattice coordinates."""
         rows = orthogonal_complement(self.gram, deltas)
         images = [vec_mat(row, self.gram) for row in rows]
         sub_gram = [[sum(a * b for a, b in zip(row, img)) for img in images]
@@ -418,7 +419,7 @@ class NSModel:
         delta = self._lattice_coords([d])
         if self.square(d) <= 0:
             return False
-        _, sub_gram = self._complement(delta)
+        _, sub_gram = self.complement(delta)
         return not has_norm_vector(sub_gram, -2)
 
     def min_ample_u(self):
@@ -433,7 +434,7 @@ class NSModel:
         delta = self._lattice_coords([d])
         if self.square(d) <= 0:
             raise ValueError("orthogonal root system needs d^2 > 0")
-        rows, sub_gram = self._complement(delta)
+        rows, sub_gram = self.complement(delta)
         # the solutions come in pairs +-v with the representative first
         reps = [self.class_from_coords(vec_mat(v, rows))
                 for v in enumerate_norm_vectors(sub_gram, -2)[::2]]

@@ -23,6 +23,7 @@ from genkummer.isometry_search import (
     replacement_config,
     search,
     standard_config,
+    validate_config,
 )
 from genkummer.kummer_structures import (
     admissible_values,
@@ -122,7 +123,7 @@ def test_criterion_6_lattice_fixtures():
     w_gram = [[pairing_of(20, a, b) for b in ws] for a in ws]
     k3 = build_k3()
     ns20 = build_ns(20)
-    words = _divisibility_words(ns20, standard_config(ns20))
+    words = _divisibility_words(validate_config(ns20, standard_config(ns20)))
     hist = {0: 0, 6: 0, 9: 0}
     for word in words:
         hist[sum(1 for w in word if w)] += 1

@@ -528,6 +528,14 @@ def test_charpoly_triangular(diag):
 # multiplicative order
 
 
+def test_matrix_order_directly():
+    assert matrix_order([[0, -1], [1, -1]]) == 3
+    assert matrix_order([[-1, 0], [0, -1]]) == 2
+    assert matrix_order([[0, 1], [-1, 0]]) == 4
+    assert matrix_order([[1, 1], [0, 1]]) == "infinite"
+    assert matrix_order([[2, 0], [0, 1]]) == "infinite"
+
+
 def test_matrix_order_at_the_trace_bound():
     # 19 x 19 finite-order matrices with |trace| up to n keep their orders
     n = 19

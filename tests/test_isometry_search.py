@@ -50,6 +50,7 @@ from genkummer.ns_lattice import (
     DivisorClass,
     L_class,
     N_BLOCKS,
+    NSModel,
     build_ns,
     curve_a,
     curve_b,
@@ -67,6 +68,18 @@ def _candidate_matrix(l_target, target, sigma, swaps):
         rows.append(_m_coords(first))
         rows.append(_m_coords(second))
     return rows
+
+
+def _words(ns, config):
+    return _divisibility_words(validate_config(ns, config))
+
+
+def _generator(ns, config):
+    return orthogonal_generator(ns, validate_config(ns, config))
+
+
+def _filter(ns, target):
+    return _MatrixFreeFilter(ns, _generator(ns, target), target)
 
 
 def _pairwise_isometry(L2, mtilde):
@@ -112,9 +125,9 @@ def test_block_sets_rejects_junk():
 
 def test_orthogonal_generators():
     ns = build_ns(20)
-    assert orthogonal_generator(ns, standard_config(ns)).num == L_class().num
+    assert _generator(ns, standard_config(ns)).num == L_class().num
     b1p, lp = construct(ns)
-    assert orthogonal_generator(ns, replacement_config(ns)).num == lp.num
+    assert _generator(ns, replacement_config(ns)).num == lp.num
 
 
 def test_replacement_config_applies_swap_automatically():
@@ -185,9 +198,9 @@ def test_matrix_free_verdicts_match_the_basis_matrix(L2):
         targets.append(replacement_config(ns))
     for target in targets:
         sigmas = prune(block_sets(ns, source), block_sets(ns, target))
-        check = _MatrixFreeFilter(ns, target)
-        src_words = _divisibility_words(ns, source)
-        tgt_words = _divisibility_words(ns, target)
+        check = _filter(ns, target)
+        src_words = _words(ns, source)
+        tgt_words = _words(ns, target)
         verdicts = Counter()
         for sigma, swaps in _word_candidates(src_words, tgt_words, sigmas):
             mtilde = _candidate_matrix(check.l_target, target, sigma, swaps)
@@ -206,10 +219,10 @@ def _enumerated(ns, target):
     backtracking prune: prune_count, status_counts and the accepted
     (sigma, swaps, disc_sign), to compare with the coset search."""
     source = standard_config(ns)
-    src_words = _divisibility_words(ns, source)
-    tgt_words = _divisibility_words(ns, target)
+    src_words = _words(ns, source)
+    tgt_words = _words(ns, target)
     sigmas = list(_backtrack(_block_set(src_words), _block_set(tgt_words)))
-    check = _MatrixFreeFilter(ns, target)
+    check = _filter(ns, target)
     integral, accepted = 0, []
     for sigma, swaps in _word_candidates(src_words, tgt_words, sigmas):
         preserves, sign = check.verdict(sigma, swaps)
@@ -272,8 +285,8 @@ def _disc_sign_mismatches(bound):
         factors, u, _ = snf([list(r) for r in ns.gram])
         lifts = [(d, row) for d, row in zip(factors, u) if d != 1]
         source = standard_config(ns)
-        _, stab_reps, _, _ = _self_maps(ns, _divisibility_words(ns, source))
-        l_source = orthogonal_generator(ns, source)
+        _, _, stab_reps, _, _ = _self_maps(ns)
+        l_source = _generator(ns, source)
         maps = [_candidate_matrix(l_source, source, *g) for g in stab_reps]
         if not pell.is_square(6 * L2):
             result = search(ns, source, replacement_config(ns))
@@ -301,7 +314,7 @@ def test_search_runs_a_verdict_per_coset(L2, cosets, monkeypatch):
     ns = build_ns(L2)
     source = standard_config(ns)
     search(ns, source, source)
-    g_reps, stab_reps, h, gens = isometry_search._SELF_MAPS[(ns.basis, ns.gluing)]
+    _, g_reps, stab_reps, h, gens = isometry_search._SELF_MAPS[(ns.basis, ns.gluing)]
     assert (len(g_reps), len(stab_reps), len(h)) == cosets + (18,)
     assert len(gens) <= 3
     calls = Counter()
@@ -323,16 +336,16 @@ def test_a_corrupt_cached_h_is_an_internal_error(monkeypatch, capsys):
     # of them among the generators of the cached H, search must refuse
     ns = build_ns(2)
     source = standard_config(ns)
-    words = _divisibility_words(ns, source)
+    words = _words(ns, source)
     sigmas = prune(_block_set(words), _block_set(words))
-    check = _MatrixFreeFilter(ns, source)
+    check = _filter(ns, source)
     minus = next(c for c in _word_candidates(words, words, sigmas)
                  if check.verdict(*c) == (True, -1))
     search(ns, source, source)
     key = (ns.basis, ns.gluing)
-    g_reps, stab_reps, h, gens = isometry_search._SELF_MAPS[key]
+    words, g_reps, stab_reps, h, gens = isometry_search._SELF_MAPS[key]
     monkeypatch.setitem(isometry_search._SELF_MAPS, key,
-                        (g_reps, stab_reps, h, gens + (minus,)))
+                        (words, g_reps, stab_reps, h, gens + (minus,)))
     with pytest.raises(AssertionError):
         search(ns, source, replacement_config(ns))
     assert cli.run(["search", "2"]) == cli.EXIT_INTERNAL == 3
@@ -362,21 +375,30 @@ def test_search_rejects_a_nonstandard_source():
 
 @pytest.mark.parametrize("L2", [20, 36])
 def test_search_builds_each_configuration_once(L2, monkeypatch):
-    # the source is the standard configuration, checked by equality, so
-    # only the target is validated; one set of 3-divisible words each
+    # on a warm case the standard source's words and self-maps are cached
+    # and its generator is L, so only the target enters NS: 18 coordinate
+    # solves, one set of 3-divisible words and one orthogonal complement
     ns = build_ns(L2)
     source, target = standard_config(ns), replacement_config(ns)
-    calls = Counter()
-    for name in ("validate_config", "_divisibility_words"):
-        fn = getattr(isometry_search, name)
-
-        def counted(*args, _name=name, _fn=fn):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(isometry_search, name, counted)
     search(ns, source, target)
-    assert calls == {"validate_config": 1, "_divisibility_words": 2}
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("validate_config", "_divisibility_words"):
+        count(isometry_search, name)
+    for name in ("coords", "complement"):
+        count(NSModel, name)
+    search(ns, source, target)
+    assert calls == {"validate_config": 1, "_divisibility_words": 1,
+                     "coords": 18, "complement": 1}
 
 
 def test_m_coords_rejects_a_fractional_class():
@@ -435,7 +457,7 @@ def test_is_isometry_matches_the_pairwise_check():
     # image of L swapped with A_1's, or A_1's crossed with A_2's, both fail
     checked = 0
     for ns, target, accepted in _accepted_searches(199):
-        l_target = orthogonal_generator(ns, target)
+        l_target = _generator(ns, target)
         rows = _target_rows(l_target, target)
         gram = _target_gram(ns.L2, rows)
         for cand in accepted:
@@ -459,11 +481,11 @@ def test_basis_matrix_matches_the_dense_solve_on_the_self_maps(L2):
     # every one preserves NS for 2 mod 6, most leave it otherwise (None)
     ns = build_ns(L2)
     source = standard_config(ns)
-    words = _divisibility_words(ns, source)
+    words = _words(ns, source)
     sigmas = prune(_block_set(words), _block_set(words))
     group = list(_word_candidates(words, words, sigmas))
     assert len(group) == 864
-    l_source = orthogonal_generator(ns, source)
+    l_source = _generator(ns, source)
     left = 0
     for g in group:
         mtilde = _candidate_matrix(l_source, source, *g)
@@ -495,14 +517,6 @@ def test_candidate_serialization():
     assert len(first["sigma"]) == 9
     assert set(first["swaps"]) <= {"0", "1"}
     assert first["status"] == "accepted"
-
-
-def test_classify_order_directly():
-    assert classify_order([[0, -1], [1, -1]]) == 3
-    assert classify_order([[-1, 0], [0, -1]]) == 2
-    assert classify_order([[0, 1], [-1, 0]]) == 4
-    assert classify_order([[1, 1], [0, 1]]) == "infinite"
-    assert classify_order([[2, 0], [0, 1]]) == "infinite"
 
 
 def test_infinite_order_cases():

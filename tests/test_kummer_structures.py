@@ -294,6 +294,24 @@ def test_decide_solves_pell_once(L2, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("L2", [20, 36, 72, 126])
+def test_decide_evaluates_the_hypotheses_once(L2, monkeypatch):
+    # 36 and 72 are flagged, and 72 exchanges A_1 and B_1: the exchange is
+    # read from the row's flags and Pell solution, not from a second pass
+    calls = []
+    check = kummer_structures.check_hypotheses
+
+    def counted(ns):
+        calls.append(ns.L2)
+        return check(ns)
+
+    monkeypatch.setattr(kummer_structures, "check_hypotheses", counted)
+    report = decide(build_ns(L2))
+    assert calls == [L2]
+    assert report.hypotheses == check(build_ns(L2))
+    assert report.note.endswith("roles exchanged") == (L2 == 72)
+
+
 @pytest.mark.parametrize("L2", [20, 36, 72])
 def test_resolve_swap_then_construct_solves_pell_once(L2, monkeypatch):
     # the library pattern of criterion 7; 36 and 72 carry the exchange flag

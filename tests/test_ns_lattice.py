@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 
 from dual_lattice import dual_generator, pairing_of
 from genkummer.exact_linalg import det_bareiss, hnf, snf, vec_mat
-from genkummer.isometry_search import _divisibility_words, standard_config
+from genkummer.isometry_search import (
+    _divisibility_words,
+    standard_config,
+    validate_config,
+)
 from genkummer.ns_lattice import (
     CASE_SIX_MOD18,
     CASE_TWELVE_MOD18,
@@ -262,7 +266,7 @@ def test_pairing_symmetric_integral_even(ca, cb, L2):
 
 
 def _divisible_words(ns):
-    return _divisibility_words(ns, standard_config(ns))
+    return _divisibility_words(validate_config(ns, standard_config(ns)))
 
 
 def _word_class(word):
