@@ -5,6 +5,9 @@ Exit codes: 0 success, 1 usage or invalid input (an unwritable --out too),
 failed invariant or any other exception of the library).  Large integers
 are serialized as decimal strings; identical inputs produce byte-identical
 output regardless of the parallelism degree.
+
+The argument parser is built once per process, on the first run, and
+every later run reuses it.  --help prints the paragraphs above this one.
 """
 
 import argparse
@@ -12,6 +15,7 @@ import csv
 import io
 import json
 import sys
+from functools import lru_cache
 
 from . import __version__, pell
 from .fm_lattices import InvalidPolarization as FMInvalidPolarization
@@ -162,25 +166,25 @@ class _Parser(argparse.ArgumentParser):
 
 def _common_flags(defaults):
     common = argparse.ArgumentParser(add_help=False)
-    kw = {} if defaults else {"default": argparse.SUPPRESS}
-    common.add_argument("--format", choices=("json", "csv"),
-                        **({"default": None} if defaults else kw),
+    unset = None if defaults else argparse.SUPPRESS
+    common.add_argument("--format", choices=("json", "csv"), default=unset,
                         help="output format (csv only for scan)")
-    common.add_argument("--jobs", type=int,
-                        **({"default": 1} if defaults else kw),
+    common.add_argument("--jobs", type=int, default=1 if defaults else unset,
                         help="worker processes for scan (other commands "
                              "accept it and ignore it)")
-    common.add_argument("--out", **({"default": None} if defaults else kw),
-                        help="write output to a file")
+    common.add_argument("--out", default=unset, help="write output to a file")
     return common
 
 
+@lru_cache(maxsize=None)
 def _build_parser():
-    # the flags live on the root parser and on every subparser (with
-    # suppressed defaults), so both orderings work on the command line
+    """Built on the first run and reused: set_defaults binds the cmd_*
+    handlers now, so a later monkeypatch of one does not reach run.  The
+    flags live on the root parser and (default suppressed) on every
+    subparser, so both orderings work on the command line."""
     root_common = _common_flags(defaults=True)
     sub_common = _common_flags(defaults=False)
-    parser = _Parser(prog="genkummer", description=__doc__,
+    parser = _Parser(prog="genkummer", description=__doc__.rpartition("\n\n")[0],
                      parents=[root_common])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -92,17 +92,19 @@ def replacement_config(ns):
 
 def validate_config(ns, config):
     """Lattice coordinates of the classes C_1, D_1, ..., C_9, D_9 of config;
-    raise NotAConfiguration unless it is a 9A2 configuration in NS."""
+    raise NotAConfiguration unless it is a 9A2 configuration in NS.  The
+    pairings come from _target_gram; the form is symmetric, so the first
+    wrong pair i <= j is also the first of all 324."""
     if len(config) != N_BLOCKS or any(len(pair) != 2 for pair in config):
         raise NotAConfiguration("expected nine pairs of classes")
     flat = [c for pair in config for c in pair]
     coords = [ns.coords(c) for c in flat]
     if None in coords:
         raise NotAConfiguration("a configuration class is outside NS")
-    for i, c in enumerate(flat):
-        for j, d in enumerate(flat):
+    for i, row in enumerate(_target_gram(ns.L2, [c.num for c in flat])):
+        for j in range(i, len(row)):
             want = -2 if i == j else (1 if i // 2 == j // 2 else 0)
-            if pairing_times_nine(ns.L2, c.num, d.num) != 9 * want:
+            if row[j] != 9 * want:
                 raise NotAConfiguration(
                     f"classes {i} and {j} pair to the wrong value")
     return coords
@@ -306,9 +308,17 @@ def basis_matrix(ns, mtilde):
 
 def _disc_sign(ns, x_mat):
     """+1 or -1 when the map acts on the discriminant group by that sign on
-    every generator; None otherwise."""
-    return _common_sign((d, urow, vec_mat(urow, x_mat))
-                        for d, urow in ns.disc_transform_rows)
+    every generator; None otherwise.  Each image urow * x_mat adds up only
+    the nonzero entries of x_mat (most rows of an accepted map have one)."""
+    images = []
+    for d, urow in ns.disc_transform_rows:
+        ux = [0] * DIM
+        for u, row in zip(urow, x_mat):
+            for j, x in enumerate(row):
+                if x:
+                    ux[j] += u * x
+        images.append((d, urow, ux))
+    return _common_sign(images)
 
 
 def _common_sign(images):
@@ -330,16 +340,30 @@ def _common_sign(images):
 
 @lru_cache(maxsize=1)
 def _q_basis_gram(L2):
-    """Gram matrix (times nine) of the Q-basis (L, A_1, B_1, ..., A_9, B_9)."""
+    """Gram matrix (times nine) of the Q-basis (L, A_1, B_1, ..., A_9, B_9),
+    by _target_gram: 19 pairings with L, the rest from the curve Gram."""
     return _target_gram(L2, identity_matrix(DIM))
 
 
+@lru_cache(maxsize=1)
+def _curve_gram():
+    """The Q-basis Gram (times nine) at L^2 = 0: between curves, every L^2's."""
+    unit = identity_matrix(DIM)
+    return tuple(tuple(pairing_times_nine(0, a, b) for b in unit) for a in unit)
+
+
 def _target_gram(L2, rows):
-    """Gram matrix (times nine) of the 19 rows of _target_rows."""
-    gram = [[0] * DIM for _ in range(DIM)]
-    for i in range(DIM):
-        for j in range(i, DIM):
-            gram[i][j] = gram[j][i] = pairing_times_nine(L2, rows[i], rows[j])
+    """Gram matrix (times nine) of rows of numerators on the Q-basis: those of
+    _target_rows, a configuration's classes, the Q-basis.  Two curve rows
+    c * e_k (k >= 1, as (k, c)) pair by _curve_gram; only a pair touching
+    another row calls pairing_times_nine."""
+    curves = [t[0] if len(t := _sparse(r)) == 1 and t[0][0] else None for r in rows]
+    table, n = _curve_gram(), len(rows)
+    gram = [[0] * n for _ in range(n)]
+    for i, a in enumerate(curves):
+        for j, b in enumerate(curves[i:], i):
+            gram[i][j] = gram[j][i] = (a[1] * b[1] * table[a[0]][b[0]] if a and b
+                                       else pairing_times_nine(L2, rows[i], rows[j]))
     return gram
 
 
@@ -356,10 +380,19 @@ def _sparse(num):
     return tuple((i, x) for i, x in enumerate(num) if x)
 
 
+@lru_cache(maxsize=1)
+def _glue_and_lifts(basis, gluing, disc_rows):
+    """Sparse numerators of the glue generators (they generate NS over L and
+    the curves) and of the discriminant lifts u * basis, for the last NS."""
+    glue = [fractional_generator(i) for i in (1, 2, 3)] + ([gluing] if gluing else [])
+    return (tuple(_sparse(g.num) for g in glue),
+            tuple((d, u, _sparse(vec_mat(u, basis))) for d, u in disc_rows))
+
+
 class _MatrixFreeFilter:
     """Integrality and discriminant verdicts for the candidate maps onto one
-    target configuration, from the images of a few classes instead of the
-    19 x 19 matrix.
+    target configuration, from the images of the glue and lift rows (one
+    _glue_and_lifts per NS, shared by a search's two filters), not a matrix.
 
     A candidate sends the Q-basis vector i to (1/3) times the numerators of
     the target class in row _row_selection(sigma, swaps)[i] of _target_rows,
@@ -374,15 +407,8 @@ class _MatrixFreeFilter:
         # numerators of L's image and the target classes, in _target_rows order
         self._targets = tuple(_sparse(c.num) for c in (
             self.l_target, *(c for pair in target for c in pair)))
-        # L and the curves go into NS by construction, so these generate NS
-        # over what the map is already known to preserve
-        glue = [fractional_generator(i) for i in (1, 2, 3)]
-        if ns.gluing is not None:
-            glue.append(ns.gluing)
-        self._glue = tuple(_sparse(g.num) for g in glue)
-        # lifts u * basis of the discriminant generators, as numerators
-        self._lifts = tuple((d, urow, _sparse(vec_mat(urow, ns.basis)))
-                            for d, urow in ns.disc_transform_rows)
+        self._glue, self._lifts = _glue_and_lifts(
+            ns.basis, ns.gluing, ns.disc_transform_rows)
 
     @staticmethod
     def _image(rows, terms):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import sys
@@ -224,3 +225,45 @@ def test_long_pell_solutions_pass_the_digit_cap(capsys):
     if cap:
         capsys.readouterr()
         assert run(["ns", "2" * (cap + 1)]) == 1
+
+
+@pytest.mark.parametrize("first, second", [
+    (["scan", "8", "20", "--jobs", "2", "--format", "json", "--out", "F"],
+     ["scan", "8", "20"]),
+    (["search", "20", "--out", "F"], ["search", "20"]),
+    (["ns", "x"], ["ns", "24"]),
+])
+def test_the_reused_parser_answers_as_a_fresh_one(first, second, tmp_path, capsys):
+    # run builds the parser once per process; two successive runs on it give
+    # what each gives on a freshly built parser
+    path = tmp_path / "F"
+
+    def call(argv, fresh):
+        if fresh:
+            cli._build_parser.cache_clear()
+        code = run([str(path) if a == "F" else a for a in argv])
+        captured = capsys.readouterr()
+        written = path.read_text() if path.exists() else None
+        path.unlink(missing_ok=True)
+        return code, captured.out, captured.err, written
+
+    reused = [call(first, fresh=False), call(second, fresh=False)]
+    assert reused == [call(first, fresh=True), call(second, fresh=True)]
+    assert reused[0][0] == (1 if first == ["ns", "x"] else 0)
+
+
+def test_later_runs_build_no_parser(monkeypatch, capsys):
+    run(["pell", "120"])
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    for argv in (["pell", "120"], ["ns", "x"], ["scan", "8", "20"],
+                 ["search", "20"], ["decide", "20", "--help"]):
+        run(argv)
+        assert built == [], argv
+    capsys.readouterr()

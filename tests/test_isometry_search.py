@@ -123,6 +123,30 @@ def test_block_sets_rejects_junk():
         validate_config(ns, standard_config(ns)[:5])
 
 
+@pytest.mark.parametrize("case, message", [
+    # two standard curves: the pair is read from the curve Gram
+    ("curves in the wrong block", "classes 0 and 1 pair to the wrong value"),
+    # A_1 against b1': the pair touches a dense class
+    ("b1' in block 2", "classes 0 and 3 pair to the wrong value"),
+    ("a class outside NS", "a configuration class is outside NS"),
+    ("a short configuration", "expected nine pairs of classes"),
+])
+def test_validate_config_messages(case, message):
+    ns = build_ns(20)
+    std = standard_config(ns)
+    b1p, _ = construct(ns)
+    third_of_l = DivisorClass((1,) + (0,) * 18)   # not in NS at L^2 = 2 mod 6
+    config = {
+        "curves in the wrong block": ((curve_a(1), curve_a(2)),) + std[1:],
+        "b1' in block 2": (std[0], (curve_a(2), b1p)) + std[2:],
+        "a class outside NS": ((third_of_l, curve_b(1)),) + std[1:],
+        "a short configuration": std[:5],
+    }[case]
+    with pytest.raises(NotAConfiguration) as exc:
+        validate_config(ns, config)
+    assert str(exc.value) == message
+
+
 def test_orthogonal_generators():
     ns = build_ns(20)
     assert _generator(ns, standard_config(ns)).num == L_class().num
@@ -399,6 +423,43 @@ def test_search_builds_each_configuration_once(L2, monkeypatch):
     search(ns, source, target)
     assert calls == {"validate_config": 1, "_divisibility_words": 1,
                      "coords": 18, "complement": 1}
+
+
+@pytest.mark.parametrize("L2, accepted, pairings", [(9996, 0, 18), (9998, 18, 74)])
+def test_a_warm_search_pairs_only_the_classes_that_move(L2, accepted, pairings,
+                                                         monkeypatch):
+    # pairs of two standard curves are read from the curve Gram: the target's
+    # 18 classes hold one dense class (b1'), so validate_config makes 18
+    # pairings; with maps accepted, the 19 target rows add 37 (two dense
+    # rows) and the Q-basis Gram of a new L^2 another 19 (its row of L)
+    ns = build_ns(L2)
+    source, target = standard_config(ns), replacement_config(ns)
+    search(ns, source, target)
+    _q_basis_gram.cache_clear()
+    calls = Counter()
+    pairing = isometry_search.pairing_times_nine
+
+    def counted(*args):
+        calls["pairing_times_nine"] += 1
+        return pairing(*args)
+
+    monkeypatch.setattr(isometry_search, "pairing_times_nine", counted)
+    assert len(search(ns, source, target).accepted) == accepted
+    assert calls["pairing_times_nine"] == pairings
+
+
+def test_target_gram_matches_the_pairwise_form():
+    # the curve Gram path against pairing_times_nine on every pair, for
+    # rows mixing curves, curve multiples, L and dense classes
+    ns = build_ns(9998)
+    _, lp = construct(ns)
+    rows = [c.num for pair in replacement_config(ns) for c in pair]
+    rows += [lp.num, (-2 * curve_b(4)).num, [0] * DIM, identity_matrix(DIM)[0]]
+    gram = _target_gram(ns.L2, rows)
+    assert gram == [[pairing_times_nine(ns.L2, a, b) for b in rows] for a in rows]
+    assert _q_basis_gram(ns.L2) == _target_gram(ns.L2, identity_matrix(DIM)) == [
+        [pairing_times_nine(ns.L2, a, b) for b in identity_matrix(DIM)]
+        for a in identity_matrix(DIM)]
 
 
 def test_m_coords_rejects_a_fractional_class():
