@@ -360,19 +360,22 @@ def _ldl_integral(a):
 def _lll_reduce_gram(a):
     """Integral LLL reduction (delta = 3/4) of a positive definite Gram matrix.
 
-    Returns (reduced, U) with reduced = U * a * U^T, U unimodular; raises
-    IndefiniteForm when a is not positive definite.  Bad bases straight out
-    of an HNF kernel would otherwise blow the enumeration tree up by many
-    orders of magnitude.  De Weger's variant (Cohen, A Course in Computational
-    Algebraic Number Theory, Alg. 2.6.7) keeps the integers d and
-    lam[j][k] = d[j + 1] * mu[k][j] of _ldl_integral; every division in its
-    updates is exact.  Each swap multiplies the positive integer
-    d[1] * ... * d[n] by less than 3/4, so the loop needs no step budget.
+    Returns (reduced, U, ldl) with reduced = U * a * U^T, U unimodular and
+    ldl = _ldl_integral(reduced); raises IndefiniteForm when a is not
+    positive definite.  Bad bases straight out of an HNF kernel would
+    otherwise blow the enumeration tree up by many orders of magnitude.
+    De Weger's variant (Cohen, A Course in Computational Algebraic Number
+    Theory, Alg. 2.6.7) keeps only the integers d and lam[j][k] =
+    d[j + 1] * mu[k][j] of _ldl_integral, starting from the basis vectors
+    stably sorted by norm; every division in its updates is exact.  Each
+    swap multiplies the positive integer d[1] * ... * d[n] by less than 3/4,
+    so the loop needs no step budget.  The check at the end asserts that the
+    LDL of reduced is the d and the strictly upper lam the loop decided on.
     """
     n = len(a)
-    g = [row[:] for row in a]
-    h = identity_matrix(n)
-    d, lam = _ldl_integral(a)
+    order = sorted(range(n), key=lambda i: a[i][i])
+    h = [[int(i == j) for j in range(n)] for i in order]
+    d, lam = _ldl_integral([[a[i][j] for j in order] for i in order])
 
     def size_reduce(k, l):
         if 2 * abs(lam[l][k]) <= d[l + 1]:
@@ -380,9 +383,6 @@ def _lll_reduce_gram(a):
         # q = floor(mu + 1/2) for mu = lam[l][k] / d[l + 1]
         q = (2 * lam[l][k] + d[l + 1]) // (2 * d[l + 1])
         h[k] = [x - q * y for x, y in zip(h[k], h[l])]
-        g[k] = [x - q * y for x, y in zip(g[k], g[l])]
-        for j in range(n):
-            g[j][k] -= q * g[j][l]
         lam[l][k] -= q * d[l + 1]
         for i in range(l):
             lam[i][k] -= q * lam[i][l]
@@ -393,9 +393,6 @@ def _lll_reduce_gram(a):
         m = lam[k - 1][k]
         if 4 * d[k + 1] * d[k - 1] < 3 * d[k] ** 2 - 4 * m * m:
             h[k], h[k - 1] = h[k - 1], h[k]
-            g[k], g[k - 1] = g[k - 1], g[k]
-            for row in g:
-                row[k], row[k - 1] = row[k - 1], row[k]
             for j in range(k - 1):
                 lam[j][k], lam[j][k - 1] = lam[j][k - 1], lam[j][k]
             b = (d[k - 1] * d[k + 1] + m * m) // d[k]
@@ -409,25 +406,30 @@ def _lll_reduce_gram(a):
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    if mat_mul(mat_mul(h, a), transpose(h)) != g:
+    reduced = mat_mul(mat_mul(h, a), transpose(h))
+    ldl = _ldl_integral(reduced)
+    if ldl[0] != d or any(x[i + 1:] != lam[i][i + 1:] for i, x in enumerate(ldl[1])):
         raise AssertionError("reduction transform lost the Gram matrix")
-    return g, h
+    return reduced, h, ldl
 
 
-def _enumerate_pos_def(a, target):
-    """Yield every integer v (including both signs) with v^T a v = target.
+def _enumerate_pos_def(ldl, target):
+    """Yield one v of each +/- pair of integer vectors with v^T a v =
+    target > 0, for the form a with ldl = _ldl_integral(a).
 
     Coordinate i spends x_i^2 / (d[i] * d[i + 1]) of the target, where
     x_i = sum_{j >= i} u[i][j] * v[j] (see _ldl_integral).  Level i carries
     s = d[i + 1] times the budget left for coordinates 0..i, an integer since
     d[i + 1] times a Schur complement of a is integral.  The bound
     |x_i| <= isqrt(s * d[i]) is exact, as is (s * d[i] - x_i^2) // d[i + 1].
+    While every coordinate above i is 0 the centre x_i - d[i + 1] * v[i] is
+    0, so v[i] starts at 0: the last nonzero coordinate of v is positive.
     """
-    n = len(a)
-    d, u = _ldl_integral(a)
+    d, u = ldl
+    n = len(u)
     v = [0] * n
 
-    def rec(i, s):
+    def rec(i, s, top):
         if i < 0:
             if s == 0:
                 yield tuple(v)
@@ -438,13 +440,13 @@ def _enumerate_pos_def(a, target):
             if v[j]:
                 c += ui[j] * v[j]
         r = isqrt(s * d[i])
-        for vi in range(-((r + c) // p), (r - c) // p + 1):
+        for vi in range(0 if top else -((r + c) // p), (r - c) // p + 1):
             x = p * vi + c
             v[i] = vi
-            yield from rec(i - 1, (s * d[i] - x * x) // p)
+            yield from rec(i - 1, (s * d[i] - x * x) // p, top and not vi)
         v[i] = 0
 
-    yield from rec(n - 1, d[n] * target)
+    yield from rec(n - 1, d[n] * target, True)
 
 
 def _canonical_pairs(vectors):
@@ -478,16 +480,15 @@ def enumerate_norm_vectors(gram, target):
     The result is closed under negation and returned as +/- pairs ordered
     lexicographically by the representative with positive leading entry.
     """
-    pos = _pos_def_form(gram, target)
-    red, u = _lll_reduce_gram(pos)
-    sols = [vec_mat(v, u) for v in _enumerate_pos_def(red, -target)]
-    return _canonical_pairs(tuple(s) for s in sols)
+    _, u, ldl = _lll_reduce_gram(_pos_def_form(gram, target))
+    return _canonical_pairs(tuple(vec_mat(v, u)) for v in _enumerate_pos_def(ldl, -target))
 
 
 def has_norm_vector(gram, target):
-    """True when some nonzero v satisfies v^T gram v = target (exact)."""
-    red, _ = _lll_reduce_gram(_pos_def_form(gram, target))
-    return next(iter(_enumerate_pos_def(red, -target)), None) is not None
+    """True when some nonzero v satisfies v^T gram v = target (exact); the
+    enumeration stops at its first vector."""
+    _, _, ldl = _lll_reduce_gram(_pos_def_form(gram, target))
+    return next(_enumerate_pos_def(ldl, -target), None) is not None
 
 
 # ---------------------------------------------------------------------------

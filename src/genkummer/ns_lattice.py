@@ -23,9 +23,11 @@ from .exact_linalg import (
     has_norm_vector,
     hnf,
     hnf_pivots,
+    mat_mul,
     orthogonal_complement,
     snf,
     solve_hnf,
+    transpose,
     vec_mat,
 )
 
@@ -219,9 +221,15 @@ def _ade_label(rank, pair_count):
 
 
 def _decompose_roots(L2, reps):
-    """Partition +/- representatives into orthogonal irreducible components."""
+    """Partition +/- representatives into orthogonal irreducible components.
+
+    The form is block diagonal on L (coordinate 0) and the blocks (A_j, B_j)
+    (coordinates 2j - 1, 2j), so only two representatives that share L or a
+    block are paired.
+    """
     n = len(reps)
     parent = list(range(n))
+    supports = [{(k + 1) // 2 for k, x in enumerate(rep.num) if x} for rep in reps]
 
     def find(i):
         while parent[i] != i:
@@ -231,7 +239,8 @@ def _decompose_roots(L2, reps):
 
     for i in range(n):
         for j in range(i + 1, n):
-            if pairing_times_nine(L2, reps[i].num, reps[j].num):
+            if (not supports[i].isdisjoint(supports[j])
+                    and pairing_times_nine(L2, reps[i].num, reps[j].num)):
                 ri, rj = find(i), find(j)
                 if ri != rj:
                     parent[ri] = rj
@@ -403,12 +412,10 @@ class NSModel:
         return self.complement(self._lattice_coords(classes))
 
     def complement(self, deltas):
-        """orthogonal_sublattice() of classes given in lattice coordinates."""
+        """orthogonal_sublattice() of classes given in lattice coordinates;
+        mat_mul skips the zeros of the rows, which are mostly unit vectors."""
         rows = orthogonal_complement(self.gram, deltas)
-        images = [vec_mat(row, self.gram) for row in rows]
-        sub_gram = [[sum(a * b for a, b in zip(row, img)) for img in images]
-                    for row in rows]
-        return rows, sub_gram
+        return rows, mat_mul(rows, transpose(mat_mul(rows, self.gram)))
 
     def is_chamber_ample(self, d):
         """True iff d^2 > 0 and d-perp contains no class of square -2.
@@ -435,8 +442,9 @@ class NSModel:
         if self.square(d) <= 0:
             raise ValueError("orthogonal root system needs d^2 > 0")
         rows, sub_gram = self.complement(delta)
+        to_num = mat_mul(rows, self.basis)
         # the solutions come in pairs +-v with the representative first
-        reps = [self.class_from_coords(vec_mat(v, rows))
+        reps = [DivisorClass(tuple(vec_mat(v, to_num)))
                 for v in enumerate_norm_vectors(sub_gram, -2)[::2]]
         roots = tuple(c for rep in reps for c in (rep, -rep))
         return RootSystem(roots, _decompose_roots(self.L2, reps))

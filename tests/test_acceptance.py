@@ -29,6 +29,7 @@ from genkummer.kummer_structures import (
     admissible_values,
     construct,
     decide,
+    resolve_swap,
     scan,
 )
 from genkummer.ns_lattice import (
@@ -41,6 +42,9 @@ from genkummer.ns_lattice import (
 
 PUBLISHED = [20, 44, 68, 84, 92, 104, 110, 116, 120,
              126, 132, 140, 164, 168, 176, 188]
+# least u with u*L - sum_j (A_j + B_j) ample, below L^2 = 20 and 30 and at
+# the first values from there on
+AMPLE_TABLE = {2: 4, 8: 2, 14: 2, 20: 1, 6: 3, 12: 2, 18: 2, 24: 1, 30: 1, 36: 1}
 
 
 def _report(number, ok, text):
@@ -98,9 +102,8 @@ def test_criterion_3_prune_count():
 
 
 def test_criterion_4_ample_table():
-    table = {2: 4, 8: 2, 14: 2, 20: 1, 6: 3, 12: 2, 18: 2, 24: 1, 30: 1, 36: 1}
-    got = {L2: build_ns(L2).min_ample_u() for L2 in table}
-    _report(4, got == table, f"minimal ample multiples {got}")
+    got = {L2: build_ns(L2).min_ample_u() for L2 in AMPLE_TABLE}
+    _report(4, got == AMPLE_TABLE, f"minimal ample multiples {got}")
 
 
 def test_criterion_5_pell_fixtures():
@@ -138,8 +141,6 @@ def test_criterion_6_lattice_fixtures():
 
 
 def test_criterion_7_configuration_identities():
-    from genkummer.kummer_structures import resolve_swap
-
     bad = []
     values = [v for v in admissible_values(2, 200)
               if not pell.is_square(6 * v)]
@@ -167,6 +168,39 @@ def test_criterion_7_configuration_identities():
     _report(7, not bad,
             f"replacement identities and nine A2 components, "
             f"{len(values)} cases, failures = {bad}")
+
+
+def _nine_a2_roots(kept, b1p):
+    """The 54 roots of the nine A2 blocks of the new configuration."""
+    pairs = [(kept, b1p)] + [(curve_a(j), curve_b(j)) for j in range(2, 10)]
+    return {r.num for c, d in pairs for s in (c, d, c + d) for r in (s, -s)}
+
+
+@pytest.mark.slow
+def test_criteria_4_and_7_sweep_to_10000():
+    # every admissible L^2 <= 10^4 with a Pell solution: lp-perp holds
+    # exactly the 54 roots of the nine A2 blocks, and u = 1 is the least
+    # ample multiple from L^2 = 20 (2 mod 6) and 30 (0 mod 6) on, by the
+    # Cauchy-Schwarz bound of expected_min_ample_u in perfbench/oracle.py
+    bad_roots, bad_u = [], []
+    values = [v for v in admissible_values(2, 10 ** 4)
+              if not pell.is_square(6 * v)]
+    for L2 in values:
+        ns = build_ns(L2)
+        swap = resolve_swap(ns)
+        b1p, lp = construct(ns, swap=swap)
+        rs = ns.root_system_of_orthogonal(lp)
+        wanted = _nine_a2_roots(curve_b(1) if swap else curve_a(1), b1p)
+        if (len(rs.roots) != 54 or {r.num for r in rs.roots} != wanted
+                or rs.component_labels != ("A2",) * 9):
+            bad_roots.append(L2)
+        first_one = 20 if L2 % 6 == 2 else 30
+        if ns.min_ample_u() != (1 if L2 >= first_one else AMPLE_TABLE[L2]):
+            bad_u.append(L2)
+    _report(7, not bad_roots, f"nine A2 components and no other root, "
+                              f"{len(values)} cases to 10^4, failures = {bad_roots}")
+    _report(4, not bad_u, f"least ample multiple 1 from L^2 = 20 and 30, "
+                          f"{len(values)} cases to 10^4, failures = {bad_u}")
 
 
 def test_criterion_8_orders():

@@ -10,6 +10,7 @@ from genkummer import exact_linalg
 from genkummer.exact_linalg import (
     IndefiniteForm,
     SingularMatrix,
+    _enumerate_pos_def,
     _ldl_integral,
     _lll_reduce_gram,
     _small_totients,
@@ -476,7 +477,7 @@ def _assert_lll_reduced(a, reduced, u):
 @given(positive_definite_forms())
 @settings(max_examples=150, deadline=None)
 def test_lll_reduce_gram_is_unimodular_and_reduced(a):
-    reduced, u = _lll_reduce_gram(a)
+    reduced, u, _ = _lll_reduce_gram(a)
     _assert_lll_reduced(a, reduced, u)
 
 
@@ -491,10 +492,62 @@ def test_lll_reduces_a_badly_skewed_form():
         for k in range(8):
             a[j][k] += c * a[i][k]
     assert max(abs(x) for row in a for x in row) > 10 ** 30
-    reduced, u = _lll_reduce_gram(a)
+    reduced, u, _ = _lll_reduce_gram(a)
     _assert_lll_reduced(a, reduced, u)
     assert max(abs(x) for row in reduced for x in row) <= 2
     assert len(enumerate_norm_vectors([[-x for x in row] for row in a], -2)) == 72
+
+
+def test_lll_check_fires_on_a_corrupt_ldl(monkeypatch):
+    # the second LDL of a reduction is the reduced form's; corrupt its lam
+    real = exact_linalg._ldl_integral
+    calls = []
+
+    def corrupt_second(a):
+        d, lam = real(a)
+        calls.append(a)
+        if len(calls) == 2:
+            lam[0][1] += 1
+        return d, lam
+
+    monkeypatch.setattr(exact_linalg, "_ldl_integral", corrupt_second)
+    with pytest.raises(AssertionError,
+                       match="^reduction transform lost the Gram matrix$"):
+        _lll_reduce_gram([[2, 1], [1, 5]])
+    assert len(calls) == 2
+
+
+# ---------------------------------------------------------------------------
+# Fincke-Pohst on one vector of each +/- pair
+
+
+def test_enumerate_pos_def_walks_half_the_a2_roots():
+    got = list(_enumerate_pos_def(_ldl_integral([[2, -1], [-1, 2]]), 2))
+    assert len(got) == 3
+    assert set(got) | {tuple(-x for x in v) for v in got} == {
+        (1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)}
+
+
+@given(positive_definite_forms(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_enumerate_pos_def_yields_each_pair_once(a, data):
+    n = len(a)
+    reduced, _, ldl = _lll_reduce_gram(a)
+    # the norm of a reduced basis vector, or close to it: often no solution;
+    # small enough targets keep the brute-force box small
+    k = data.draw(st.integers(0, n - 1))
+    target = reduced[k][k] + data.draw(st.integers(-1, 2))
+    assume(target > 0)
+    got = list(_enumerate_pos_def(ldl, target))
+    halves = set(got)
+    negated = {tuple(-x for x in v) for v in got}
+    assert len(halves) == len(got)
+    assert not halves & negated
+    assert all(any(v) for v in got)
+    brute = brute_norm_vectors([[-x for x in row] for row in reduced], -target)
+    assert halves | negated == brute
+    g = [[-x for x in row] for row in a]
+    assert has_norm_vector(g, -target) == bool(enumerate_norm_vectors(g, -target))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import pytest
 
 from families import b1_class, ramare_family, verify_uniqueness
 from genkummer import cli, kummer_structures, ns_lattice, pell
+from genkummer.exact_linalg import hnf, hnf_pivots
 from genkummer.kummer_structures import (
     pell_data,
     NoPellSolution,
@@ -136,6 +137,62 @@ def test_swap_repairs_reducible_cases():
     fixed = ns.root_system_of_orthogonal(lp)
     assert len(fixed.roots) == 54
     assert fixed.component_labels == ("A2",) * 9
+
+
+def _decompose_all_pairs(L2, reps):
+    """Oracle for ns_lattice._decompose_roots: the union-find over every
+    pair of representatives, whatever blocks they meet."""
+    n = len(reps)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if ns_lattice.pairing_times_nine(L2, reps[i].num, reps[j].num):
+                parent[find(i)] = find(j)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    components = []
+    for members in groups.values():
+        h, _ = hnf([list(reps[i].num) for i in members])
+        label = ns_lattice._ade_label(len(hnf_pivots(h)), len(members))
+        roots = tuple(c for i in members for c in (reps[i], -reps[i]))
+        components.append(ns_lattice.RootComponent(label, roots))
+    components.sort(key=lambda comp: comp.roots[0].num)
+    return tuple(components)
+
+
+def _assert_decomposition_matches_all_pairs(L2, rs):
+    reps = rs.roots[::2]
+    oracle = _decompose_all_pairs(L2, reps)
+    assert ns_lattice._decompose_roots(L2, reps) == oracle == rs.components
+
+
+def test_decompose_roots_matches_all_pairs():
+    # lp-perp (the 54 roots of nine A2) for every admissible L^2 < 1000 with
+    # a Pell solution, the unexchanged side at 72 (108 roots with an E6), and
+    # L-perp in the four cases
+    for L2 in admissible_values(2, 999):
+        if pell.is_square(6 * L2):
+            continue
+        ns = build_ns(L2)
+        _, lp = construct(ns, swap=resolve_swap(ns))
+        rs = ns.root_system_of_orthogonal(lp)
+        assert len(rs.roots) == 54
+        _assert_decomposition_matches_all_pairs(L2, rs)
+    ns = build_ns(72)
+    _, lp_raw = construct(ns)
+    rs = ns.root_system_of_orthogonal(lp_raw)
+    assert len(rs.roots) == 108
+    _assert_decomposition_matches_all_pairs(72, rs)
+    for L2 in (20, 24, 30, 36):   # 2 mod 6, 6, 12 and 0 mod 18
+        rs = build_ns(L2).root_system_of_orthogonal(L_class())
+        _assert_decomposition_matches_all_pairs(L2, rs)
 
 
 def test_resolve_swap_picks_the_clean_side():
