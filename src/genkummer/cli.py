@@ -170,8 +170,9 @@ def _common_flags(defaults):
     common.add_argument("--format", choices=("json", "csv"), default=unset,
                         help="output format (csv only for scan)")
     common.add_argument("--jobs", type=int, default=1 if defaults else unset,
-                        help="worker processes for scan (other commands "
-                             "accept it and ignore it)")
+                        help="worker processes for scan, at most one per 256 "
+                             "rows; fewer than 512 plain rows run in-process "
+                             "(other commands accept it and ignore it)")
     common.add_argument("--out", default=unset, help="write output to a file")
     return common
 

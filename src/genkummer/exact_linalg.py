@@ -40,13 +40,13 @@ def mat_mul(a, b):
     return [vec_mat(row, b) for row in a]
 
 
-def vec_mat(v, mat):
-    """Row vector times matrix."""
+def vec_mat(v, mat, start=0):
+    """Row vector times matrix, from column start on (the columns before stay 0)."""
     n = len(mat[0])
     out = [0] * n
     for vi, row in zip(v, mat):
         if vi:
-            for j in range(n):
+            for j in range(start, n):
                 out[j] += vi * row[j]
     return out
 
@@ -406,7 +406,10 @@ def _lll_reduce_gram(a):
             for l in range(k - 2, -1, -1):
                 size_reduce(k, l)
             k += 1
-    reduced = mat_mul(mat_mul(h, a), transpose(h))
+    ht = transpose(h)   # reduced = (h a) h^T is symmetric: upper rows, mirrored
+    reduced = [vec_mat(row, ht, i) for i, row in enumerate(mat_mul(h, a))]
+    for i in range(n):
+        reduced[i][:i] = [reduced[j][i] for j in range(i)]
     ldl = _ldl_integral(reduced)
     if ldl[0] != d or any(x[i + 1:] != lam[i][i + 1:] for i, x in enumerate(ldl[1])):
         raise AssertionError("reduction transform lost the Gram matrix")

@@ -162,11 +162,10 @@ class BlockDivisibilitySet:
 
 def _block_set(words):
     """The twelve six-block supports among a configuration's 27 words."""
-    supports = {_support(w) for w in words if len(_support(w)) == 6}
-    sizes = sorted(len(_support(w)) for w in words)
-    if sizes != [0] + [6] * 24 + [9] * 2:
+    supports = [_support(w) for w in words]
+    if sorted(map(len, supports)) != [0] + [6] * 24 + [9] * 2:
         raise NotAConfiguration("support profile must be 1/24/2 over 0/6/9 blocks")
-    return BlockDivisibilitySet(tuple(supports))
+    return BlockDivisibilitySet(tuple({s for s in supports if len(s) == 6}))
 
 
 def block_sets(ns, config):

@@ -25,6 +25,9 @@ from .ns_lattice import (
 )
 
 
+ROWS_PER_WORKER = 256
+
+
 class NoPellSolution(ValueError):
     """The relevant Pell equation is unsolvable (6*L^2 is a square), so no
     alternate configuration exists."""
@@ -243,20 +246,20 @@ def scan(L2_min, L2_max, jobs=1, with_search=False):
     construction fields empty and two_structures False.  with_search runs
     the isometry search on every other row, 0 mod 18 included, and
     search_agrees says whether finding no isometry matches criterion_ok
-    (which equals two_structures outside 0 mod 18).  jobs > 1 computes the
-    rows across processes, at most one per row; the result does not depend
-    on jobs.  The per-case tables (build_k3, _case_template) are built
-    before the pool starts, and the forked workers inherit them.
+    (which equals two_structures outside 0 mod 18).  jobs > 1 runs the rows
+    in at most jobs processes: one per row with the search, else one per
+    ROWS_PER_WORKER rows (fewer than 512 plain rows run in-process).  Forked
+    workers inherit the per-case tables built first; rows do not depend on jobs.
     """
     values = admissible_values(L2_min, L2_max)
     row = partial(_scan_report, with_search=with_search)
-    if jobs > 1 and len(values) >= 2:
+    workers = min(jobs, len(values) // (1 if with_search else ROWS_PER_WORKER))
+    if workers > 1:
         from multiprocessing import Pool
 
         # any six consecutive admissible L^2 meet every case of the range
         for L2 in values[:6]:
             build_ns(L2)
-        with Pool(min(jobs, len(values))) as pool:
+        with Pool(workers) as pool:
             return pool.map(row, values)
     return [row(L2) for L2 in values]
-

@@ -13,10 +13,11 @@ isometry search relies on, so it is part of the wire format.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import prod
 
 from .exact_linalg import (
+    det_bareiss,
     enumerate_norm_vectors,
     gf3_echelon,
     gf3_reduce,
@@ -220,13 +221,14 @@ def _ade_label(rank, pair_count):
     raise AssertionError(f"no ADE type with rank {rank} and {pair_count} root pairs")
 
 
-def _decompose_roots(L2, reps):
+def _decompose_roots(L2, reps, roots=None):
     """Partition +/- representatives into orthogonal irreducible components.
 
     The form is block diagonal on L (coordinate 0) and the blocks (A_j, B_j)
     (coordinates 2j - 1, 2j), so only two representatives that share L or a
     block are paired.
     """
+    roots = roots or tuple(c for rep in reps for c in (rep, -rep))
     n = len(reps)
     parent = list(range(n))
     supports = [{(k + 1) // 2 for k, x in enumerate(rep.num) if x} for rep in reps]
@@ -253,11 +255,8 @@ def _decompose_roots(L2, reps):
         h, _ = hnf(block)
         rank = len(hnf_pivots(h))
         label = _ade_label(rank, len(members))
-        roots = []
-        for i in members:
-            roots.append(reps[i])
-            roots.append(-reps[i])
-        components.append(RootComponent(label, tuple(roots)))
+        components.append(RootComponent(
+            label, tuple(c for i in members for c in roots[2 * i:2 * i + 2])))
     components.sort(key=lambda comp: comp.roots[0].num)
     return tuple(components)
 
@@ -301,9 +300,9 @@ def _case_template(extra):
     so G and the block share their non-unit invariant factors, and a row
     of the block's U lifts to one of G's as a row vector times `lift`.
     Rows 1..18 of G are checked even here, once per case; NSModel checks
-    only g00.
+    only g00, and the discriminant as the block's determinant a + b * corner.
 
-    Returns (basis, GF(3) echelon, rows 1..18 of G, the block less g00, lift).
+    Returns (basis, GF(3) echelon, rows 1..18 of G, the block less g00, lift, (a, b)).
     """
     k3 = build_k3()
     h, _ = hnf([list(extra.num)] + [[0] + list(r) for r in k3.basis])
@@ -322,7 +321,8 @@ def _case_template(extra):
     lower = tuple((t[i],) + k3.gram[i] for i in range(DIM - 1))
     if any(row[i + 1] % 2 for i, row in enumerate(lower)):
         raise AssertionError("lattice is not even")
-    return basis, gf3_echelon(basis), lower, block, lift
+    det = [det_bareiss([[c, *block[0][1:]], *map(list, block[1:])]) for c in (0, 1)]
+    return basis, gf3_echelon(basis), lower, block, lift, (det[0], det[1] - det[0])
 
 
 class NSModel:
@@ -332,10 +332,10 @@ class NSModel:
     L^2 = 0 mod 6 an extra gluing class (L + v)/3 is adjoined, giving an
     index-3 overlattice.  The basis, and all of the Gram matrix but its
     corner g00, depend only on the case and are built once per case
-    (_case_template); per L^2 the model computes only g00 and takes the
-    Smith normal form of a 4 x 4 block instead of the 19 x 19 Gram matrix.
-    All queries are pure, so instances can be shared freely across threads
-    or processes.
+    (_case_template).  Per L^2 the model computes g00 and checks the
+    discriminant, a determinant affine in g00; the discriminant group comes
+    on first use, from the Smith form of a 4 x 4 block, not the 19 x 19 Gram
+    matrix.  Queries are pure, so instances can be shared across threads or processes.
     """
 
     def __init__(self, L2):
@@ -348,26 +348,30 @@ class NSModel:
             self.case, self.gluing = _GLUING[L2 % 18][0], gluing_class(L2)
 
         extra = L_class() if self.gluing is None else self.gluing
-        self.basis, self._mod3, lower, block, lift = _case_template(extra)
+        self.basis, self._mod3, lower, block, self._lift, (a, b) = _case_template(extra)
         # rows 1..18 carry no L, so only g00 depends on L^2
         g00 = _pairing(L2, self.basis[0], self.basis[0])
         if g00 % 2:
             raise AssertionError("lattice is not even")
         self.gram = ((g00, *(row[0] for row in lower)),) + lower
+        corner = block[0][0] + g00
+        self._block = ((corner, *block[0][1:]),) + block[1:]
+        self._disc = 27 * L2 if self.case == CASE_TWO_MOD6 else 3 * L2
+        if a + b * corner != self._disc:
+            raise AssertionError(f"discriminant {a + b * corner} != {self._disc}")
 
-        factors, u, _ = snf([[block[0][0] + g00, *block[0][1:]]]
-                            + [list(r) for r in block[1:]])
-        det = prod(factors)
-        expected = 27 * L2 if self.case == CASE_TWO_MOD6 else 3 * L2
-        if det != expected:
-            raise AssertionError(f"discriminant {det} != {expected}")
-        # the same non-unit factors, in the same order, as the SNF of G
-        self.disc_factors = tuple(f for f in factors if f != 1)
-        # Row i of the block's U, lifted to the basis and divided by
-        # factors[i], lifts a generator of the cyclic piece Z/factors[i] of
-        # the discriminant group (in basis coordinates).
-        self.disc_transform_rows = tuple(
-            (f, tuple(vec_mat(u[i], lift))) for i, f in enumerate(factors) if f != 1)
+    @cached_property
+    def disc_transform_rows(self):
+        """(f, u) per non-unit factor f of the SNF of the Gram matrix, in order:
+        u / f, a row of the block's U lifted to the basis, lifts a generator of
+        the cyclic piece Z/f of the discriminant group (in basis coordinates)."""
+        factors, u, _ = snf([list(r) for r in self._block])
+        if prod(factors) != self._disc:
+            raise AssertionError(f"discriminant {prod(factors)} != {self._disc}")
+        return tuple((f, tuple(vec_mat(u[i], self._lift)))
+                     for i, f in enumerate(factors) if f != 1)
+
+    disc_factors = property(lambda self: tuple(f for f, _ in self.disc_transform_rows))
 
     # -- membership -------------------------------------------------------
 
@@ -447,7 +451,7 @@ class NSModel:
         reps = [DivisorClass(tuple(vec_mat(v, to_num)))
                 for v in enumerate_norm_vectors(sub_gram, -2)[::2]]
         roots = tuple(c for rep in reps for c in (rep, -rep))
-        return RootSystem(roots, _decompose_roots(self.L2, reps))
+        return RootSystem(roots, _decompose_roots(self.L2, reps, roots))
 
     # -- serialization ------------------------------------------------------
 

@@ -273,6 +273,19 @@ def test_scan_pool_is_bounded_by_the_rows(monkeypatch):
     rows = scan(8, 20, jobs=100000)
     assert [r.L2 for r in rows] == [8, 12, 14, 18, 20]
     assert scan(8, 198, jobs=3) == scan(8, 198)
+    assert sizes == []
+    # no pool below 2 * ROWS_PER_WORKER plain rows, then one per that many
+    per = kummer_structures.ROWS_PER_WORKER
+    ends = admissible_values(8, 10 ** 4)
+    assert len(scan(8, ends[2 * per - 2], jobs=100000)) == 2 * per - 1
+    assert sizes == []
+    assert len(scan(8, ends[2 * per - 1], jobs=100000)) == 2 * per
+    assert scan(8, ends[3 * per - 1], jobs=100000) == scan(8, ends[3 * per - 1], jobs=2)
+    assert sizes == [2, 3, 2]
+    # with the search, one worker per row up to jobs
+    del sizes[:]
+    assert scan(8, 20, jobs=100000, with_search=True) == scan(8, 20, jobs=3,
+                                                              with_search=True)
     assert sizes == [5, 3]
 
 
@@ -292,13 +305,16 @@ def _row_and_misses(L2, with_search):
 
 
 def test_pool_workers_inherit_the_case_tables(monkeypatch):
-    # 8..30 holds all four cases; the pool forks after scan has built them
-    serial = scan(8, 30)
+    # 2 * ROWS_PER_WORKER rows from 8 hold all four cases and make a pool of
+    # two; it forks after scan has built the case tables
+    L2_max = admissible_values(8, 10 ** 4)[2 * kummer_structures.ROWS_PER_WORKER - 1]
+    serial = scan(8, L2_max)
     assert len({r.case for r in serial}) == 4
     ns_lattice.build_k3.cache_clear()
     ns_lattice._case_template.cache_clear()
     monkeypatch.setattr(kummer_structures, "_scan_report", _row_and_misses)
-    pooled = scan(8, 30, jobs=2)
+    monkeypatch.setattr(multiprocessing, "Pool", multiprocessing.get_context("fork").Pool)
+    pooled = scan(8, L2_max, jobs=2)
     assert [row for row, _, _ in pooled] == serial
     assert os.getpid() not in {pid for _, pid, _ in pooled}
     assert {misses for _, _, misses in pooled} == {(0, 0)}

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dual_lattice import dual_generator, pairing_of
+from genkummer import cli, ns_lattice
 from genkummer.exact_linalg import det_bareiss, hnf, snf, vec_mat
 from genkummer.isometry_search import (
     _divisibility_words,
     standard_config,
     validate_config,
 )
+from genkummer.kummer_structures import scan
 from genkummer.ns_lattice import (
     CASE_SIX_MOD18,
     CASE_TWELVE_MOD18,
@@ -168,6 +170,42 @@ def test_case_template_matches_the_19_row_hnf():
 
 def test_ns20_discriminant_group():
     assert build_ns(20).disc_factors == (3, 3, 60)
+
+
+def test_only_the_discriminant_group_takes_a_smith_form(monkeypatch, capsys):
+    # a plain scan row checks the discriminant as a determinant affine in
+    # g00; ns and search take the 4 x 4 Smith form once per L^2
+    build_k3()
+    real, sizes = ns_lattice.snf, []
+
+    def counted(mat):
+        sizes.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(ns_lattice, "snf", counted)
+    scan(8, 198)
+    assert sizes == []
+    for command in ("ns", "search"):
+        for L2 in (20, 30, 36, 42):   # 2 mod 6, 12, 0 and 6 mod 18
+            assert cli.run([command, str(L2)]) == cli.EXIT_OK
+    capsys.readouterr()
+    assert sizes == [4] * 8
+
+
+@pytest.mark.parametrize("L2, message", [
+    (20, "discriminant 541 != 540"), (24, "discriminant 73 != 72")])
+def test_a_corrupt_determinant_form_is_an_internal_error(L2, message, monkeypatch,
+                                                         capsys):
+    # the case template's (a, b), with the block's determinant a + b * corner
+    real = ns_lattice._case_template
+
+    def corrupt(extra):
+        *template, (a, b) = real(extra)
+        return (*template, (a + 1, b))
+
+    monkeypatch.setattr(ns_lattice, "_case_template", corrupt)
+    assert cli.run(["decide", str(L2)]) == cli.EXIT_INTERNAL == 3
+    assert capsys.readouterr().err == f"error: internal: {message}\n"
 
 
 def test_invalid_polarizations():
