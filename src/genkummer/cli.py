@@ -27,7 +27,7 @@ from .isometry_search import (
     search,
     standard_config,
 )
-from .kummer_structures import NoPellSolution, decide, scan
+from .kummer_structures import ROWS_PER_WORKER, NoPellSolution, decide, scan
 from .ns_lattice import InvalidPolarization, build_ns
 
 EXIT_OK = 0
@@ -170,9 +170,9 @@ def _common_flags(defaults):
     common.add_argument("--format", choices=("json", "csv"), default=unset,
                         help="output format (csv only for scan)")
     common.add_argument("--jobs", type=int, default=1 if defaults else unset,
-                        help="worker processes for scan, at most one per 256 "
-                             "rows; fewer than 512 plain rows run in-process "
-                             "(other commands accept it and ignore it)")
+                        help=f"worker processes for scan, at most one per {ROWS_PER_WORKER} "
+                             f"rows; fewer than {2 * ROWS_PER_WORKER} plain rows run "
+                             "in-process (other commands accept it and ignore it)")
     common.add_argument("--out", default=unset, help="write output to a file")
     return common
 

@@ -25,7 +25,7 @@ from .ns_lattice import (
 )
 
 
-ROWS_PER_WORKER = 256
+ROWS_PER_WORKER = 1024   # 2 workers tie one process at 1,000-4,000 plain rows (README)
 
 
 class NoPellSolution(ValueError):
@@ -248,7 +248,7 @@ def scan(L2_min, L2_max, jobs=1, with_search=False):
     search_agrees says whether finding no isometry matches criterion_ok
     (which equals two_structures outside 0 mod 18).  jobs > 1 runs the rows
     in at most jobs processes: one per row with the search, else one per
-    ROWS_PER_WORKER rows (fewer than 512 plain rows run in-process).  Forked
+    ROWS_PER_WORKER rows (fewer than twice that run in-process).  Forked
     workers inherit the per-case tables built first; rows do not depend on jobs.
     """
     values = admissible_values(L2_min, L2_max)

@@ -221,14 +221,14 @@ def _ade_label(rank, pair_count):
     raise AssertionError(f"no ADE type with rank {rank} and {pair_count} root pairs")
 
 
-def _decompose_roots(L2, reps, roots=None):
-    """Partition +/- representatives into orthogonal irreducible components.
+def _decompose_roots(L2, roots):
+    """Partition roots, listed as pairs rep, -rep, into irreducible components.
 
     The form is block diagonal on L (coordinate 0) and the blocks (A_j, B_j)
     (coordinates 2j - 1, 2j), so only two representatives that share L or a
     block are paired.
     """
-    roots = roots or tuple(c for rep in reps for c in (rep, -rep))
+    reps = roots[::2]
     n = len(reps)
     parent = list(range(n))
     supports = [{(k + 1) // 2 for k, x in enumerate(rep.num) if x} for rep in reps]
@@ -451,7 +451,7 @@ class NSModel:
         reps = [DivisorClass(tuple(vec_mat(v, to_num)))
                 for v in enumerate_norm_vectors(sub_gram, -2)[::2]]
         roots = tuple(c for rep in reps for c in (rep, -rep))
-        return RootSystem(roots, _decompose_roots(self.L2, reps, roots))
+        return RootSystem(roots, _decompose_roots(self.L2, roots))
 
     # -- serialization ------------------------------------------------------
 

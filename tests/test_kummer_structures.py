@@ -170,7 +170,7 @@ def _decompose_all_pairs(L2, reps):
 def _assert_decomposition_matches_all_pairs(L2, rs):
     reps = rs.roots[::2]
     oracle = _decompose_all_pairs(L2, reps)
-    assert ns_lattice._decompose_roots(L2, reps) == oracle == rs.components
+    assert ns_lattice._decompose_roots(L2, rs.roots) == oracle == rs.components
 
 
 def test_decompose_roots_matches_all_pairs():
